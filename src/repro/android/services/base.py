@@ -10,6 +10,7 @@ Per-service numbers below are a consistent decomposition of those totals.
 from __future__ import annotations
 
 import errno
+import sys
 
 from repro.errors import SyscallError
 from repro.kernel.process import Credentials, ROOT_UID, SYSTEM_UID
@@ -54,7 +55,8 @@ class Service:
         return f"service:{self.name}"
 
     def handle_transaction(self, method, payload, sender_task):
-        handler = getattr(self, f"method_{method}", None)
+        # Interned for the same reason as AnceptionLayer._split.
+        handler = getattr(self, sys.intern(f"method_{method}"), None)
         if handler is None:
             raise SyscallError(
                 errno.EINVAL, f"{self.name} has no method {method!r}"

@@ -13,6 +13,7 @@ unmarshal data; those constants are exposed for the TCB experiment (E9).
 from __future__ import annotations
 
 import errno
+import sys
 
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
@@ -21,7 +22,6 @@ from repro.core.marshal import (
     FdTranslationTable,
     RemoteFdStub,
     marshal_call,
-    marshal_call_into,
 )
 from repro.core.page_cache import HostPageCache
 from repro.core.policy import Decision, RedirectionPolicy
@@ -47,11 +47,14 @@ from repro.obs import prof as _prof
 from repro.obs.bus import maybe_event, maybe_span
 from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
-from repro.perf.slab import SlabPool
 
 
 ANCEPTION_LINES_OF_CODE = 5_219
 ANCEPTION_MARSHALING_LINES = 2_438
+
+marshal_call_into = marshal_call
+"""Former name of the synchronous-submit encoder, kept only because
+the benchmark's layer map (``perfbench/layers.py``) still wraps it."""
 
 
 class PendingCall:
@@ -60,10 +63,10 @@ class PendingCall:
     __snapshot__ = "auto"
 
     __slots__ = ("seq", "task", "name", "args", "call_args", "kwargs",
-                 "crypto_offset", "outcome", "slab")
+                 "crypto_offset", "outcome")
 
     def __init__(self, seq, task, name, args, call_args, kwargs,
-                 crypto_offset=None, slab=None):
+                 crypto_offset=None):
         self.seq = seq
         self.task = task
         self.name = name
@@ -74,9 +77,6 @@ class PendingCall:
         self.outcome = None
         """``("ok", result)``, ``("err", SyscallError)`` or
         ``("cancelled", SyscallError)`` once the window flushed."""
-        self.slab = slab
-        """The wire payload's pooled slab (synchronous submits only);
-        recycled by the flush that retires this call's window."""
 
     def __repr__(self):
         state = "pending" if self.outcome is None else self.outcome[0]
@@ -177,6 +177,7 @@ class WriteBehindEntry:
         self.args = args
         self.call_args = call_args
         self.wire = wire
+        """Marshaled wire size in bytes, paid for at staging time."""
         self.fd = fd
         self.result = result
 
@@ -284,6 +285,7 @@ class BinderRingEntry:
         self.payload_bytes = transaction.payload_size
         self.call_args = call_args
         self.wire = wire
+        """Marshaled wire size in bytes, paid for at staging time."""
 
     def __repr__(self):
         return f"BinderRingEntry({self.transaction!r})"
@@ -419,9 +421,6 @@ class AnceptionLayer:
         self._binder_ring_on = binder_ring
         self._binder_ring_depth = binder_ring_depth
         self._firewall_rule = None
-        self.slab_pool = SlabPool()
-        """Recycled wire-payload buffers for synchronous submits; their
-        views live exactly as long as one flush window."""
         self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement,
                             seed=placement_seed)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
@@ -828,9 +827,9 @@ class AnceptionLayer:
         Returns the :class:`PendingCall` tracking it.  A full ring
         flushes first (bounded backpressure): the in-flight window is
         retired behind one doorbell pair before new work queues.  A
-        pre-staged ``wire`` (write-behind or binder-window drain) skips
-        the marshal step — the host already paid for packing when the
-        call deferred.  ``ring_flags`` overrides the descriptor flags
+        pre-staged ``wire`` size (write-behind or binder-window drain)
+        skips the marshal step — the host already paid for packing when
+        the call deferred.  ``ring_flags`` overrides the descriptor flags
         (the binder drain tags its descriptors ``RING_FLAG_BINDER``).
         Window-shaped callers resolve the task's ``lane`` once and pass
         it down instead of paying the pool lookup per descriptor.
@@ -854,7 +853,6 @@ class AnceptionLayer:
             table.translate_args(name, args)
         )
         crypto_offset = None
-        slab = None
         prestaged = wire is not None
         clock = self.machine.clock
         if wire is None:
@@ -862,28 +860,20 @@ class AnceptionLayer:
                 call_args, crypto_offset = self._crypto_outbound(
                     task, name, args, call_args
                 )
-            wire, _size, slab = marshal_call_into(
-                self.slab_pool, name, call_args, kwargs
-            )
+            _call, wire = marshal_call(name, call_args, kwargs)
             clock.advance(
                 self.machine.costs.marshal_fixed_ns, "anception:marshal"
             )
         clock.advance(
             self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
         )
-        try:
-            seq = lane.channel.submit_ring.push(
-                name, wire,
-                flags=ring_flags if ring_flags
-                else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
-            )
-        except BaseException:
-            # The wire never made it onto the ring; nothing else
-            # can reference the slab, so reclaim it here.
-            self.slab_pool.recycle(slab)
-            raise
+        seq = lane.channel.submit_ring.push(
+            name, wire,
+            flags=ring_flags if ring_flags
+            else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
+        )
         pending = PendingCall(seq, task, name, args, call_args, kwargs,
-                              crypto_offset, slab)
+                              crypto_offset)
         lane.inflight.append(pending)
         return pending
 
@@ -934,33 +924,25 @@ class AnceptionLayer:
             # retry loop re-submits from scratch against clean rings.
             lane.channel.reset_rings()
             raise
-        finally:
-            # The window retired (or its ring state was dropped): either
-            # way no descriptor references the wire views any longer, so
-            # the slabs go back to the pool.  Stale references surface as
-            # released-memoryview ValueErrors rather than silent aliasing.
-            recycle = self.slab_pool.recycle
-            for p in pendings:
-                if p.slab is not None:
-                    recycle(p.slab)
-                    p.slab = None
 
     def _drain_completions(self, lane, pendings, outcomes):
         """Pop the completion ring dry and bind outcomes to pendings.
 
         Completions may arrive out of submission order (the
-        ``ring.reorder`` site); sequence matching absorbs that.  CRC
-        failures and missing outcomes surface as delegation errors for
-        the recovery supervisor.
+        ``ring.reorder`` site); sequence matching absorbs that.  Corrupt
+        slots, completions forged for a seq nobody submitted, and
+        missing outcomes surface as delegation errors for the recovery
+        supervisor — a lying CVM costs a retry or an EIO, never the
+        host.
         """
         while True:
             descriptor = lane.channel.complete_ring.pop()
             if descriptor is None:
                 break
             if descriptor.seq not in outcomes:
-                raise SimulationError(
-                    f"completion seq {descriptor.seq} matches no "
-                    f"submitted call"
+                raise ChannelError(
+                    f"{lane.name}: completion seq {descriptor.seq} "
+                    f"matches no submitted call"
                 )
         for pending in pendings:
             outcome = outcomes.get(pending.seq)
@@ -1338,7 +1320,10 @@ class AnceptionLayer:
     # ------------------------------------------------------------------
 
     def _split(self, task, name, args, kwargs):
-        handler = getattr(self, f"_split_{name}", None)
+        # Interned: the interpreter's attribute cache keeps the last name
+        # looked up per slot, so a fresh string per call would pin
+        # hash-dependent garbage on the heap.
+        handler = getattr(self, sys.intern("_split_" + name), None)
         if handler is None:
             # Split-class call with no dedicated handler in the prototype:
             # run the host semantics (matching the paper's conservative
@@ -2099,7 +2084,7 @@ class AnceptionLayer:
             result = 0
         table = self._fd_table(task)
         call_args = table.translate_args(name, args)
-        wire, size = marshal_call(name, call_args, {})
+        _call, size = marshal_call(name, call_args, {})
         costs = self.machine.costs
         clock = self.machine.clock
         clock.advance(costs.marshal_fixed_ns, "anception:marshal")
@@ -2108,7 +2093,7 @@ class AnceptionLayer:
             "anception:wb-stage",
         )
         window.entries.append(
-            WriteBehindEntry(name, args, call_args, wire, args[0], result)
+            WriteBehindEntry(name, args, call_args, size, args[0], result)
         )
         wb.enqueued += 1
         wb.max_depth_seen = max(wb.max_depth_seen, len(window.entries))
@@ -2367,7 +2352,7 @@ class AnceptionLayer:
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
         call_args = (proxy_binder_fd, request, staged)
-        wire, size = marshal_call("ioctl", call_args, {})
+        _call, size = marshal_call("ioctl", call_args, {})
         costs = self.machine.costs
         clock = self.machine.clock
         clock.advance(costs.marshal_fixed_ns, "anception:marshal")
@@ -2375,7 +2360,7 @@ class AnceptionLayer:
             costs.wb_stage_page_ns * max(costs.chunks(size), 1),
             "anception:binder-stage",
         )
-        window.entries.append(BinderRingEntry(staged, call_args, wire))
+        window.entries.append(BinderRingEntry(staged, call_args, size))
         ring.enqueued += 1
         ring.max_depth_seen = max(ring.max_depth_seen, len(window.entries))
         maybe_event(clock, "binder-submit",

@@ -10,18 +10,19 @@ the channel only owns a handful of pages, so a 16 MB write crosses it in
 Earlier prototypes used sockets and virtio and were abandoned for copy
 overhead; the remapped-pages design is what the cost model calibrates.
 
-Every transfer carries a CRC32 over the payload, so corruption or
-truncation in transit (deliberate, via the fault engine, or a bug) is
-*detected* and surfaces as a typed
+The wire carries sizes, not bytes: call arguments and results cross as
+Python references, and a transfer bills ``len(payload)`` through the
+chunk arithmetic while both sides touch the window, so every access
+check of a real copy still runs.  Corruption or truncation in transit
+(via the fault engine) marks the transfer corrupt or shortens its
+delivered size, and the reader refuses it with a typed
 :class:`~repro.errors.ChannelIntegrityError` rather than silently
-handing mangled bytes to the other kernel.  Doorbell signals report
+handing mangled data to the other kernel.  Doorbell signals report
 delivery, so a dropped interrupt is visible to the sender as ``False``
 instead of an indefinite hang.
 """
 
 from __future__ import annotations
-
-from zlib import crc32
 
 from repro.errors import ChannelError, ChannelIntegrityError
 from repro.obs import prof as _prof
@@ -72,134 +73,87 @@ class AnceptionChannel:
         that fits the window rides along for free."""
         return self.num_pages * PAGE_SIZE
 
-    def _chunked(self, view):
-        """Slice ``view`` (a memoryview) into page-sized sub-views.
-
-        Zero-copy: each chunk is a window over the caller's buffer, not
-        a materialised ``bytes``.  An empty payload still yields one
-        empty chunk so the fixed per-chunk cost is charged."""
-        size = view.nbytes
-        if not size:
-            yield view
-            return
-        for start in range(0, size, PAGE_SIZE):
-            yield view[start : start + PAGE_SIZE]
-
     def send_to_guest(self, data):
-        """Host -> guest: copy through the remapped pages, chunk by chunk."""
+        """Host -> guest: bill ``len(data)`` through the remapped pages."""
         return self._transfer(data, "to-guest")
 
     def send_to_host(self, data):
         """Guest -> host: same path, opposite direction and rate."""
         return self._transfer(data, "to-host")
 
-    def _transfer(self, data, direction):
-        if not isinstance(data, (bytes, bytearray, memoryview)):
+    def _transfer(self, payload, direction):
+        """Carry ``len(payload)`` bytes across the window in 4 KB chunks.
+
+        ``payload`` is anything sized — a ring descriptor, or raw bytes
+        for the msync stream.  Contents are never copied: the writer
+        and the reader each touch the window (so every permission check
+        of a real copy still runs) and the clock is billed per chunk.
+        A fault that corrupts or truncates the transfer surfaces as a
+        typed :class:`ChannelIntegrityError` on the reader side.
+        """
+        try:
+            size = len(payload)
+        except TypeError:
             raise ChannelError(
-                f"channel payload must be bytes-like, got "
-                f"{type(data).__name__}"
-            )
-        # Zero-copy discipline: the payload is wrapped in (at most) one
-        # memoryview and every stage below — chunking, the shared-page
-        # frames, the CRC — operates on views over the caller's buffer.
-        view = data if type(data) is memoryview else memoryview(data)
-        size = view.nbytes
+                f"channel payload must be sized, got "
+                f"{type(payload).__name__}"
+            ) from None
         inbound = direction == "to-guest"
         self.transfers += 1
         clock = self.hypervisor.machine.clock
-        expected_crc = crc32(view)
         engine = clock.faults
-        bus = clock.bus
-        if engine is None and _prof._ACTIVE is None \
-                and clock.prof is None and clock._overlap_lane is None \
-                and not clock._trace_depth \
-                and (bus is None or not bus._depth):
-            # Fully dormant hot path: no fault engine, no profiler, no
-            # trace, no capture, no overlap lane.  The chunk loop below
-            # is the exact per-chunk arithmetic of costs_charge_chunk
-            # folded into one integer add — simulated time and every
-            # counter are bit-identical to the instrumented path.
-            costs = self.costs
-            shared = self.shared
-            chunk_fixed = costs.chunk_fixed_ns
-            if inbound and self._bulk_depth:
-                if size <= PAGE_SIZE:
-                    self.bulk_chunks += 1
-                    clock._now_ns += chunk_fixed + costs.wb_drain_page_ns
-                    if size:
-                        shared.write(view, offset=0, from_guest=not inbound)
-                        shared.touch(size, offset=0, from_guest=inbound)
-                else:
-                    bulk_ns = costs.wb_drain_page_ns
-                    total_ns = 0
-                    for start in range(0, size, PAGE_SIZE):
-                        chunk = view[start : start + PAGE_SIZE]
-                        self.bulk_chunks += 1
-                        total_ns += chunk_fixed + bulk_ns
-                        shared.write(chunk, offset=0, from_guest=not inbound)
-                        shared.touch(chunk.nbytes, offset=0,
-                                     from_guest=inbound)
-                    clock._now_ns += total_ns
-            else:
-                per_byte = (
-                    costs.marshal_in_per_byte_ns
-                    if inbound
-                    else costs.marshal_out_per_byte_ns
-                )
-                if size <= PAGE_SIZE:
-                    clock._now_ns += chunk_fixed + int(per_byte * size)
-                    if size:
-                        shared.write(view, offset=0, from_guest=not inbound)
-                        shared.touch(size, offset=0, from_guest=inbound)
-                else:
-                    total_ns = 0
-                    for start in range(0, size, PAGE_SIZE):
-                        chunk = view[start : start + PAGE_SIZE]
-                        nbytes = chunk.nbytes
-                        total_ns += chunk_fixed + int(per_byte * nbytes)
-                        shared.write(chunk, offset=0, from_guest=not inbound)
-                        shared.touch(nbytes, offset=0, from_guest=inbound)
-                    clock._now_ns += total_ns
-            # delivered is view, so the integrity CRC equals the send
-            # CRC by construction — nothing to verify.
-            if inbound:
-                self.bytes_to_guest += size
-            else:
-                self.bytes_to_host += size
-            return size
-        delivered = view
+        delivered, corrupt = size, False
         if engine is not None:
             stall_ns = engine.channel_stall_ns(direction)
             if stall_ns:
                 clock.advance(stall_ns, f"fault:channel-stall:{direction}")
-            delivered = engine.channel_payload(direction, view)
-            if delivered is not view and type(delivered) is not memoryview:
-                delivered = memoryview(delivered)
-        with wall_zone("channel.copy"), \
-                maybe_span(clock, "channel-copy", direction, kernel="channel",
-                           direction=direction, bytes=size,
-                           chunks=max(1, self.costs.chunks(size))):
-            for chunk in self._chunked(delivered):
-                nbytes = chunk.nbytes
-                self.costs_charge_chunk(nbytes, inbound=inbound)
-                if nbytes:
-                    # one side copies in, the other reads the chunk out of
-                    # the same frames (the kmap window makes both legal)
-                    self.shared.write(chunk, offset=0, from_guest=not inbound)
-                    self.shared.touch(nbytes, offset=0, from_guest=inbound)
-        if delivered is view:
-            # Unmodified buffer: the integrity CRC *is* the send CRC —
-            # computing it twice over identical bytes was pure overhead.
-            actual_crc = expected_crc
+            delivered, corrupt = engine.channel_delivery(direction, size)
+        if delivered:
+            # Every chunk lands in the window's first frame: one side
+            # writes it, the other reads it out (the kmap makes both
+            # legal, and both run the frame's window check).
+            first = delivered if delivered < PAGE_SIZE else PAGE_SIZE
+            self.shared.touch(first, from_guest=not inbound)
+            self.shared.touch(first, from_guest=inbound)
+        costs = self.costs
+        fixed_ns = costs.chunk_fixed_ns
+        full_chunks, tail = divmod(delivered, PAGE_SIZE)
+        # An empty transfer still pays one (empty) chunk.
+        chunks = full_chunks + (1 if tail or not delivered else 0)
+        if inbound and self._bulk_depth:
+            label = "channel:bulk-copy"
+            full_ns = tail_ns = costs.wb_drain_page_ns
+            self.bulk_chunks += chunks
         else:
-            # The fault engine rewrote the payload in transit; only a
-            # fresh CRC over the delivered bytes can detect that.
-            actual_crc = crc32(delivered)
-        if delivered.nbytes != size or actual_crc != expected_crc:
-            self.integrity_failures += 1
-            raise ChannelIntegrityError(
-                direction, expected_crc, actual_crc, size
+            label = "channel:copy"
+            per_byte = (
+                costs.marshal_in_per_byte_ns
+                if inbound
+                else costs.marshal_out_per_byte_ns
             )
+            full_ns = int(per_byte * PAGE_SIZE)
+            tail_ns = int(per_byte * tail)
+        bus = clock.bus
+        if _prof._ACTIVE is None and clock.prof is None \
+                and clock._overlap_lane is None and not clock._trace_depth \
+                and (bus is None or not bus._depth):
+            # Nobody observes individual charges: bill the chunk loop's
+            # exact integer sum in one add.
+            clock._now_ns += (chunks * fixed_ns + full_chunks * full_ns
+                              + (tail_ns if chunks > full_chunks else 0))
+        else:
+            with wall_zone("channel.copy"), \
+                    maybe_span(clock, "channel-copy", direction,
+                               kernel="channel", direction=direction,
+                               bytes=size, chunks=max(1, costs.chunks(size))):
+                for index in range(chunks):
+                    clock.advance(fixed_ns, "channel:chunk")
+                    clock.advance(
+                        full_ns if index < full_chunks else tail_ns, label
+                    )
+        if corrupt or delivered != size:
+            self.integrity_failures += 1
+            raise ChannelIntegrityError(direction, size, delivered)
         if inbound:
             self.bytes_to_guest += size
         else:
@@ -216,20 +170,6 @@ class AnceptionChannel:
         classic rate — they were never marshaled ahead of time.
         """
         return _BulkCopyWindow(self)
-
-    def costs_charge_chunk(self, nbytes, inbound):
-        clock = self.hypervisor.machine.clock
-        clock.advance(self.costs.chunk_fixed_ns, "channel:chunk")
-        if inbound and self._bulk_depth:
-            self.bulk_chunks += 1
-            clock.advance(self.costs.wb_drain_page_ns, "channel:bulk-copy")
-            return
-        per_byte = (
-            self.costs.marshal_in_per_byte_ns
-            if inbound
-            else self.costs.marshal_out_per_byte_ns
-        )
-        clock.advance(int(per_byte * nbytes), "channel:copy")
 
     def signal_guest(self, reason="", coalesced=1):
         """Ring the guest doorbell; ``False`` when the IRQ was lost.

@@ -5,8 +5,8 @@ In the real system 46.7% of Anception's 5.2K lines pack syscall arguments
 serves two purposes:
 
 * **byte accounting** — every forwarded call's inbound payload and
-  outbound result are measured so the channel can charge the calibrated
-  per-byte copy costs for real traffic;
+  outbound result are *sized* so the channel can charge the calibrated
+  per-byte copy costs; the values themselves cross by reference;
 * **fd translation** — descriptor numbers live in two spaces (the app's
   on the host, the proxy's in the CVM); :class:`FdTranslationTable` keeps
   them in sync, which is the moral equivalent of pointer rewriting.
@@ -15,8 +15,6 @@ serves two purposes:
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.obs import prof as _prof
-from repro.obs.prof import zone as wall_zone
 
 
 FD_FIRST_CALLS = frozenset({
@@ -76,89 +74,19 @@ def wire_size(name, args, kwargs):
     return size
 
 
-def _render_into(buf, size, name, args):
-    """Flatten the call into ``buf[:size]``; returns bytes rendered.
-
-    The rendering is truncated at ``size`` (kwargs contribute size but
-    no rendered bytes, exactly like the original encoder); the caller
-    owns zero-filling any tail beyond the returned position.
-    """
-    pos = 0
-    pieces = [name.encode()]
-    for arg in args:
-        if isinstance(arg, (bytes, bytearray)):
-            pieces.append(arg)
-        else:
-            pieces.append(repr(arg).encode())
-    for piece in pieces:
-        if pos >= size:
-            break
-        n = len(piece)
-        if n > size - pos:
-            n = size - pos
-            buf[pos:pos + n] = memoryview(piece)[:n]
-        else:
-            buf[pos:pos + n] = piece
-        pos += n
-    return pos
-
-
 def marshal_call(name, args, kwargs):
-    """Return (wire_bytes, payload_size) for a forwarded call.
+    """Marshal one forwarded call: ``(call, size)`` for its descriptor.
 
-    The wire bytes are a flattened rendering of the call — real data that
-    will transit the shared pages; objects are passed by reference on the
-    Python side (a documented simulation shortcut), but their *sizes* are
-    faithful.  Rendered in exactly one pass into a right-sized buffer
-    (the old encoder materialised the payload three times: append, slice,
-    pad).
+    Arguments cross the boundary by reference (a documented simulation
+    shortcut); what the channel bills is the call's faithful wire size,
+    so marshaling *is* :func:`wire_size` — no bytes are rendered.
     """
-    if _prof._ACTIVE is None:
-        size = wire_size(name, args, kwargs)
-        buf = bytearray(size)  # fresh: the tail is already zero-filled
-        _render_into(buf, size, name, args)
-        return bytes(buf), size
-    with wall_zone("marshal.encode"):
-        size = wire_size(name, args, kwargs)
-        buf = bytearray(size)
-        _render_into(buf, size, name, args)
-        return bytes(buf), size
-
-
-def marshal_call_into(pool, name, args, kwargs):
-    """Slab-pooled encode: returns ``(wire_view, payload_size, slab)``.
-
-    Same wire bytes as :func:`marshal_call`, rendered into a recycled
-    slab from ``pool`` and returned as a memoryview — the zero-copy
-    fast path for synchronous submits, where the wire's lifetime ends
-    with the flush window and the slab can be recycled immediately.
-    The caller owns ``slab`` and must hand it back via
-    ``pool.recycle(slab)`` once the window retires.
-    """
-    if _prof._ACTIVE is None:
-        return _marshal_into(pool, name, args, kwargs)
-    with wall_zone("marshal.encode"):
-        return _marshal_into(pool, name, args, kwargs)
-
-
-def _marshal_into(pool, name, args, kwargs):
-    size = wire_size(name, args, kwargs)
-    slab = pool.acquire(size)
-    buf = slab.buf
-    pos = _render_into(buf, size, name, args)
-    if pos < size:
-        # Recycled slabs carry stale bytes; the zero padding the
-        # wire format promises must be written explicitly.
-        buf[pos:size] = bytes(size - pos)
-    return pool.view(slab, size), size, slab
+    return name, wire_size(name, args, kwargs)
 
 
 def result_size(result):
     """Outbound payload size of a syscall result."""
-    if _prof._ACTIVE is None:
-        return encoded_size(result)
-    with wall_zone("marshal.decode"):
-        return encoded_size(result)
+    return encoded_size(result)
 
 
 class FdTranslationTable:

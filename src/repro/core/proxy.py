@@ -16,8 +16,8 @@ cost.  We reproduce that by charging only ``proxy_dispatch_ns`` per call.
 from __future__ import annotations
 
 from repro.core.marshal import result_size
-from repro.perf.slab import zeros
 from repro.errors import (
+    ChannelError,
     ContainerCrashed,
     ProxyDied,
     SimulationError,
@@ -170,8 +170,8 @@ class ProxyManager:
 
         ``work`` maps submit sequence numbers to
         ``(proxy, name, args, kwargs)`` (arguments travel by reference
-        on the Python side; the descriptor's wire bytes carried the
-        honest byte accounting).  Returns ``{seq: (kind, value)}`` with
+        on the Python side; the descriptor's size carried the honest
+        byte accounting).  Returns ``{seq: (kind, value)}`` with
         kind ``"ok"`` (result), ``"err"`` (a ``SyscallError`` — no
         completion descriptor is pushed, mirroring the classic errno
         path that skips the completion copy), or ``"cancelled"`` (a
@@ -179,7 +179,8 @@ class ProxyManager:
         vectored I/O stops at the first error, like the native kernel).
 
         Delegation-layer failures (a dead proxy, a crashed container,
-        descriptor corruption) propagate as
+        descriptor corruption, a descriptor whose seq names no submitted
+        call) propagate as
         :class:`~repro.errors.DelegationError` for the recovery
         supervisor; the caller resets the rings before retrying.
         """
@@ -191,9 +192,9 @@ class ProxyManager:
                 break
             item = work.get(descriptor.seq)
             if item is None:
-                raise SimulationError(
-                    f"ring descriptor seq {descriptor.seq} has no "
-                    f"submitted call"
+                raise ChannelError(
+                    f"{self.cvm.lane}: submit descriptor seq "
+                    f"{descriptor.seq} matches no submitted call"
                 )
             proxy, name, args, kwargs = item
             if failed is not None:
@@ -208,11 +209,8 @@ class ProxyManager:
                 failed = exc
                 continue
             outcomes[descriptor.seq] = ("ok", result)
-            # Completion payloads are all-zero padding of the result's
-            # wire size; a view over the shared zero slab avoids one
-            # allocation per completed call.
             channel.complete_ring.push(
-                name, zeros(result_size(result)), seq=descriptor.seq
+                name, result_size(result), seq=descriptor.seq
             )
         return outcomes
 

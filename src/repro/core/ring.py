@@ -4,8 +4,8 @@ The naive transport rang one doorbell per marshaled call: marshal ->
 IRQ -> execute -> copy back -> hypercall, so doorbells scaled 1:1 with
 redirected syscalls.  This module is the virtio-style replacement the
 paper's abandoned prototypes gestured at, rebuilt on the remapped-pages
-channel that won: descriptors (sequence number + CRC-framed payload)
-queue in the shared window, one host->guest doorbell submits every
+channel that won: descriptors (sequence number + payload size) queue
+in the shared window, one host->guest doorbell submits every
 pending descriptor and one guest->host doorbell completes them all.
 
 Design points:
@@ -14,17 +14,17 @@ Design points:
   (derived from ``channel_pages`` by :func:`default_ring_depth`); a
   full ring raises :class:`~repro.errors.RingFull` and the layer
   flushes before retrying (backpressure, never silent loss).
-* **Per-descriptor CRC framing** — each descriptor records the CRC32
-  of its payload at push time and verifies it at pop time, so a byte
-  flipped *in the ring* (the ``ring.corrupt`` fault site) surfaces as
-  a typed :class:`~repro.errors.ChannelIntegrityError`, exactly like
+* **Corrupt mark** — a descriptor slot tampered with *in the ring*
+  (the ``ring.corrupt`` fault site) carries a corrupt mark that the
+  consumer checks at pop time, so it surfaces as a typed
+  :class:`~repro.errors.ChannelIntegrityError`, exactly like
   channel-level corruption.
 * **Sequence numbers** — completions are matched to submissions by
   sequence, so out-of-order delivery (the ``ring.reorder`` fault site)
   is tolerated by construction.
-* **Honest byte accounting** — descriptor payloads cross the channel
-  through the same chunked ``_transfer`` path as before, paying the
-  same calibrated per-chunk/per-byte costs; the 32-byte descriptor
+* **Honest byte accounting** — descriptor payload sizes cross the
+  channel through the chunked ``_transfer`` path, paying the
+  calibrated per-chunk/per-byte costs; the 32-byte descriptor
   header is bookkeeping whose cost is already folded into the fixed
   per-call marshal charge, so single-call latency is unchanged.
 """
@@ -32,7 +32,6 @@ Design points:
 from __future__ import annotations
 
 from collections import deque
-from zlib import crc32
 
 from repro.errors import (
     ChannelCapacityError,
@@ -48,7 +47,7 @@ from repro.perf.costs import PAGE_SIZE
 
 RING_HEADER_BYTES = 32
 """Wire footprint of one descriptor header: seq (8) + call id (8) +
-payload length (8) + CRC32 (4) + flags/pad (4)."""
+payload length (8) + corrupt mark (4) + flags/pad (4)."""
 
 RING_FLAG_WRITE_BEHIND = 0x1
 """Descriptor header flag: this call was staged by a write-behind
@@ -77,23 +76,31 @@ def default_ring_depth(num_pages):
 
 
 class RingDescriptor:
-    """One queued call (or completion) in a delegation ring."""
+    """One queued call (or completion) in a delegation ring.
+
+    Sized, not rendered: ``len(descriptor)`` is the payload size the
+    channel bills.  ``corrupt`` marks a slot whose contents were
+    tampered with in the shared pages; the consumer refuses it.
+    """
 
     __snapshot__ = "auto"
 
-    __slots__ = ("seq", "call", "payload", "crc", "flags")
+    __slots__ = ("seq", "call", "size", "flags", "corrupt")
 
-    def __init__(self, seq, call, payload, flags=0):
+    def __init__(self, seq, call, size, flags=0):
         self.seq = seq
         self.call = call
-        self.payload = payload
-        self.crc = crc32(payload)
+        self.size = size
         self.flags = flags
+        self.corrupt = False
+
+    def __len__(self):
+        return self.size
 
     def __repr__(self):
         return (
             f"RingDescriptor(seq={self.seq}, call={self.call!r}, "
-            f"{len(self.payload)}B)"
+            f"{self.size}B)"
         )
 
 
@@ -135,26 +142,26 @@ class DelegationRing:
 
     # -- producer side -------------------------------------------------------
 
-    def push(self, call, payload, seq=None, flags=0):
-        """Queue one descriptor; its payload crosses the shared pages.
+    def push(self, call, size, seq=None, flags=0):
+        """Queue one descriptor of ``size`` payload bytes.
 
-        Returns the descriptor's sequence number.  Raises
+        The payload's size crosses the shared pages (billed by the
+        channel); the call's values travel by reference.  Returns the
+        descriptor's sequence number.  Raises
         :class:`ChannelCapacityError` for a payload that cannot fit the
         window even alone, and :class:`RingFull` when every slot is
         taken (callers flush and retry — bounded backpressure).
         ``flags`` travel in the descriptor header (e.g.
         :data:`RING_FLAG_WRITE_BEHIND` for asynchronously reaped calls).
         """
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
+        if type(size) is not int or size < 0:
             raise ChannelError(
-                f"ring payload must be bytes-like, got "
-                f"{type(payload).__name__}"
+                f"ring payload size must be a non-negative int, got "
+                f"{size!r}"
             )
-        # No defensive copy: the payload (often a slab-pool memoryview)
-        # is referenced as-is; the submit window owns its lifetime.
-        if len(payload) + RING_HEADER_BYTES > self.channel.capacity:
+        if size + RING_HEADER_BYTES > self.channel.capacity:
             raise ChannelCapacityError(
-                len(payload), self.channel.capacity, call=call
+                size, self.channel.capacity, call=call
             )
         clock = self.channel.hypervisor.machine.clock
         if len(self._queue) >= self.depth:
@@ -171,7 +178,7 @@ class DelegationRing:
         if seq is None:
             seq = self._next_seq
             self._next_seq += 1
-        descriptor = RingDescriptor(seq, call, payload, flags)
+        descriptor = RingDescriptor(seq, call, size, flags)
         if flags:
             if flags & RING_FLAG_WRITE_BEHIND:
                 self.deferred_pushed += 1
@@ -179,16 +186,13 @@ class DelegationRing:
                 self.binder_pushed += 1
         bus = clock.bus
         if _prof._ACTIVE is None and (bus is None or not bus._depth):
-            # Dormant observation: skip the span label/attr construction
-            # entirely — the transfer itself carries the costs.
-            self.channel._transfer(payload, self.direction)
+            self.channel._transfer(descriptor, self.direction)
         else:
             with wall_zone("ring.push"), \
                     maybe_span(clock, self.span_kind, f"{call}#{seq}",
                                kernel="channel", ring=self.name, seq=seq,
-                               bytes=len(payload),
-                               depth=len(self._queue) + 1):
-                self.channel._transfer(payload, self.direction)
+                               bytes=size, depth=len(self._queue) + 1):
+                self.channel._transfer(descriptor, self.direction)
         self._queue.append(descriptor)
         self.pushed += 1
         depth_now = len(self._queue)
@@ -199,57 +203,33 @@ class DelegationRing:
     # -- consumer side -------------------------------------------------------
 
     def pop(self):
-        """Dequeue the next descriptor, verifying its CRC framing.
+        """Dequeue the next descriptor, refusing a corrupt-marked slot.
 
         Returns ``None`` on an empty ring.  The ``ring.reorder`` fault
         site may deliver the *second* queued descriptor first (sequence
         matching on the consumer side absorbs this); ``ring.corrupt``
-        flips a payload byte, which the CRC check converts into a typed
+        marks the slot corrupt, which surfaces as a typed
         :class:`ChannelIntegrityError`.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        clock = self.channel.hypervisor.machine.clock
-        engine = clock.faults
-        if engine is None and _prof._ACTIVE is None:
-            descriptor = self._queue.popleft()
-            self.popped += 1
-            payload = descriptor.payload
-            actual_crc = crc32(payload)
-            if actual_crc != descriptor.crc:
-                self.channel.integrity_failures += 1
-                raise ChannelIntegrityError(
-                    self.direction, descriptor.crc, actual_crc,
-                    len(payload),
-                )
-            return descriptor
-        with wall_zone("ring.pop"):
-            index = 0
-            if engine is not None and len(self._queue) > 1 \
-                    and engine.ring_reorder(call=self._queue[0].call):
-                index = 1
-                self.out_of_order += 1
-            if index:
-                first = self._queue.popleft()
-                descriptor = self._queue.popleft()
-                self._queue.appendleft(first)
-            else:
-                descriptor = self._queue.popleft()
-            self.popped += 1
-            payload = descriptor.payload
-            if engine is not None:
-                payload = engine.ring_descriptor_payload(
-                    descriptor.call, payload
-                )
-            actual_crc = crc32(payload)
-            if actual_crc != descriptor.crc:
-                self.channel.integrity_failures += 1
-                raise ChannelIntegrityError(
-                    self.direction, descriptor.crc, actual_crc,
-                    len(descriptor.payload),
-                )
-            descriptor.payload = payload
-            return descriptor
+        engine = self.channel.hypervisor.machine.clock.faults
+        if engine is not None and len(queue) > 1 \
+                and engine.ring_reorder(call=queue[0].call):
+            descriptor = queue[1]
+            del queue[1]
+            self.out_of_order += 1
+        else:
+            descriptor = queue.popleft()
+        self.popped += 1
+        if engine is not None \
+                and engine.ring_corrupt(descriptor.call, descriptor.size):
+            descriptor.corrupt = True
+        if descriptor.corrupt:
+            self.channel.integrity_failures += 1
+            raise ChannelIntegrityError(self.direction, descriptor.size)
+        return descriptor
 
     def reset(self):
         """Drop every queued descriptor (CVM reboot / recovery rebind)."""

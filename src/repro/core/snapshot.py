@@ -67,7 +67,10 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+"""Blob layout version.  2: ring descriptors, pending calls and staged
+window entries carry wire *sizes* instead of wire bytes; v1 blobs are
+refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -583,7 +586,7 @@ def apply_app_slice(layer, task, slice_, target):
     app's cached pages under the target container's inode numbers in
     their original LRU recency order.
     """
-    from repro.core.marshal import marshal_call
+    from repro.core.marshal import wire_size
     from repro.kernel.vfs import O_CREAT, O_TRUNC
 
     # Private tree first: re-opened fds resolve against it.
@@ -626,9 +629,9 @@ def apply_app_slice(layer, task, slice_, target):
         for entry in slice_["wb_entries"]:
             call_args = new_table.translate_args(entry["name"],
                                                  entry["args"])
-            wire, _size = marshal_call(entry["name"], call_args, {})
             window.entries.append(WriteBehindEntry(
-                entry["name"], entry["args"], call_args, wire,
+                entry["name"], entry["args"], call_args,
+                wire_size(entry["name"], call_args, {}),
                 entry["args"][0], entry["result"],
             ))
         for key, exc in slice_["wb_errors"].items():

@@ -85,22 +85,26 @@ class ChannelError(DelegationError):
 
 
 class ChannelIntegrityError(ChannelError):
-    """Payload bytes were corrupted or truncated crossing the channel.
+    """A payload was corrupted or truncated crossing the channel.
 
     Attributes:
         direction: ``"to-guest"`` or ``"to-host"``.
-        expected_crc / actual_crc: CRC32 of the payload before/after.
         nbytes: size of the original payload.
+        delivered: bytes that arrived (``nbytes`` when the payload
+            arrived whole but marked corrupt).
     """
 
-    def __init__(self, direction, expected_crc, actual_crc, nbytes):
+    def __init__(self, direction, nbytes, delivered=None):
         self.direction = direction
-        self.expected_crc = expected_crc
-        self.actual_crc = actual_crc
         self.nbytes = nbytes
+        self.delivered = nbytes if delivered is None else delivered
+        if self.delivered != nbytes:
+            detail = f"truncated to {self.delivered}"
+        else:
+            detail = "marked corrupt"
         super().__init__(
             f"channel payload {direction} failed integrity check "
-            f"({nbytes} bytes, crc {expected_crc:#010x} != {actual_crc:#010x})"
+            f"({nbytes} bytes, {detail})"
         )
 
 

@@ -142,39 +142,47 @@ class FaultEngine:
             return 0
         return rule.delay_ns or 100_000
 
-    def channel_payload(self, direction, data):
-        """Possibly corrupt or truncate ``data`` in transit.
+    def channel_delivery(self, direction, size):
+        """What a transfer of ``size`` bytes delivers: ``(size, corrupt)``.
 
-        Empty payloads cross untouched (there is nothing to mangle), so
-        the occurrence counters only advance for real transfers.
+        ``channel.corrupt`` delivers every byte but marks the transfer
+        corrupt; ``channel.truncate`` delivers half.  Empty payloads
+        cross untouched (there is nothing to mangle), so the occurrence
+        counters only advance for real transfers.
         """
-        if not data:
-            return data
+        if not size:
+            return size, False
         if self.check("channel.corrupt", call=direction) is not None:
-            index = self.rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[index] ^= 0xFF
-            return bytes(mangled)
+            self._draw_flipped_byte(size)
+            return size, True
         if self.check("channel.truncate", call=direction) is not None:
-            return data[: len(data) // 2]
-        return data
+            return size // 2, False
+        return size, False
 
-    def ring_descriptor_payload(self, call, data):
-        """Possibly flip one byte of a ring descriptor payload in place.
+    def ring_corrupt(self, call, size):
+        """Should the descriptor slot being popped be marked corrupt?
 
         Fires at pop time, *after* the payload crossed the channel —
         modelling corruption of the descriptor slot itself, which the
-        per-descriptor CRC framing is there to catch.  Empty payloads
+        consumer's corrupt-mark check is there to catch.  Empty payloads
         cross untouched (nothing to mangle).
         """
-        if not data:
-            return data
-        if self.check("ring.corrupt", call=call) is not None:
-            index = self.rng.randrange(len(data))
-            mangled = bytearray(data)
-            mangled[index] ^= 0xFF
-            return bytes(mangled)
-        return data
+        if not size:
+            return False
+        if self.check("ring.corrupt", call=call) is None:
+            return False
+        self._draw_flipped_byte(size)
+        return True
+
+    def _draw_flipped_byte(self, size):
+        """Draw the index of the byte a corruption flips.
+
+        The wire carries no bytes, so nothing reads the index; drawing
+        it keeps the PRNG stream — and so every later probability
+        rule's firing cursor — identical to a model that flips a real
+        payload byte.
+        """
+        return self.rng.randrange(size)
 
     def ring_reorder(self, call=None):
         """Should the next ring pop deliver descriptors out of order?"""

@@ -95,14 +95,13 @@ class SharedPages:
         return bytes(out)
 
     def touch(self, length, offset=0, from_guest=False):
-        """Model the consumer reading ``length`` bytes out of the buffer.
+        """Model one side accessing ``length`` bytes of the buffer.
 
-        The chunked channel transfer writes each chunk in from one side
-        and reads it out from the other; the reader's copy was pure
-        overhead (the simulation never inspects it), but the *access* —
-        and its window enforcement — must still happen.  ``touch`` runs
-        the same per-frame permission checks as :meth:`read` without
-        materialising a single byte.
+        The channel carries sizes, not bytes: a transfer's writer and
+        reader each *touch* the window instead of copying, because the
+        access — and its window enforcement — must still happen.
+        ``touch`` runs the same per-frame permission checks as
+        :meth:`read` without materialising a single byte.
         """
         window = self.guest_window if from_guest else None
         if offset + length > self.capacity:

@@ -108,7 +108,7 @@ class PhysicalMemory:
 
     def assert_access(self, frame, window=None):
         """Run the window/range checks of an access without any data
-        movement (the zero-copy channel's consumer-side touch)."""
+        movement (the channel's window touches)."""
         self._check(frame, window)
 
     def frame_view(self, frame, window=None):

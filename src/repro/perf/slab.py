@@ -1,26 +1,17 @@
-"""Reusable byte-slab pool for the delegation hot path.
+"""Reusable byte-slab pool, unused by the engine itself.
 
-Every redirected syscall used to materialise its wire payload several
-times over: the marshal layer built a ``bytearray`` and flattened it to
-``bytes``, the ring copied it again on push, the channel copied it once
-more per transfer and once per 4 KB chunk.  On a single-threaded engine
-those copies (and the allocator churn behind them) were the top wall
-clock zones the profiler attributed.  This module is the discipline that
-replaces them:
+The delegation wire carries sizes, not bytes (``DESIGN.md`` §13): no
+call is rendered, so nothing needs a recycled buffer and no engine code
+imports this module.  It stays only because the benchmark's layer map
+(``perfbench/layers.py``) still imports it and wraps
+:meth:`SlabPool.acquire`; it goes when that map is re-pointed.
 
-* a :class:`SlabPool` hands out recycled ``bytearray`` slabs the marshal
-  encoder renders wire bytes into **once**;
-* callers export :class:`memoryview` windows over a slab (via
-  :meth:`SlabPool.view`) and pass *those* down the ring/channel stack —
-  every later stage slices views, it never copies;
-* :meth:`SlabPool.recycle` **releases** every exported view before the
-  slab returns to the freelist, so a stale reference held past the
-  slab's lifetime raises ``ValueError`` on its next access instead of
-  silently observing recycled bytes (the aliasing-safety property the
-  Hypothesis suite pins).
-
-The pool is plain host-side bookkeeping: it never touches the simulated
-clock, so slab reuse is invisible to every sim-time digest.
+A :class:`SlabPool` recycles ``bytearray`` slabs, exports tracked
+:class:`memoryview` windows over them (:meth:`SlabPool.view`), and
+:meth:`SlabPool.recycle` releases every exported view before a slab
+returns to the freelist, so a stale reference raises ``ValueError``
+instead of observing recycled bytes.  The pool never touches the
+simulated clock.
 """
 
 from __future__ import annotations

@@ -54,9 +54,52 @@ class TestTransfers:
             channel.send_to_host(data)
         assert inbound.elapsed_ns > outbound.elapsed_ns
 
-    def test_data_actually_traverses_shared_pages(self, channel):
-        channel.send_to_guest(b"REAL-BYTES")
-        assert channel.shared.read(10, from_guest=True) == b"REAL-BYTES"
+    def test_transfer_runs_the_guest_window_check(self, channel):
+        # No bytes are copied, but both sides still touch the window:
+        # a shared frame outside the guest's window is a violation.
+        from repro.errors import HypervisorViolation
+        from repro.kernel.memory import Window
+
+        channel.shared.guest_window = Window(0, 1)
+        with pytest.raises(HypervisorViolation):
+            channel.send_to_guest(b"x")
+        with pytest.raises(HypervisorViolation):
+            channel.send_to_host(b"x")
+
+    def test_empty_transfer_touches_nothing(self, channel):
+        from repro.kernel.memory import Window
+
+        channel.shared.guest_window = Window(0, 1)
+        channel.send_to_guest(b"")
+
+    @pytest.mark.parametrize("size", [0, 1, PAGE_SIZE, PAGE_SIZE + 1,
+                                      3 * PAGE_SIZE + 10])
+    @pytest.mark.parametrize("mode", ["to-guest", "to-host", "bulk"])
+    def test_folded_and_per_chunk_billing_agree(self, channel, machine,
+                                                size, mode):
+        """The unobserved one-add bill equals the traced chunk charges."""
+        clock = machine.clock
+
+        def send():
+            if mode == "bulk":
+                with channel.bulk_copy():
+                    channel.send_to_guest(b"b" * size)
+            else:
+                channel._transfer(b"b" * size, mode)
+
+        before = clock.now_ns
+        send()
+        folded = clock.now_ns - before
+        marker = clock.enable_trace()
+        before = clock.now_ns
+        send()
+        traced = clock.now_ns - before
+        charges = clock.charges_since(marker)
+        clock.disable_trace()
+        assert folded == traced == sum(ns for _label, ns in charges)
+        chunks = max(1, machine.costs.chunks(size))
+        assert [label for label, _ns in charges].count(
+            "channel:chunk") == chunks
 
 
 class TestSignalling:
@@ -79,86 +122,3 @@ class TestSignalling:
         assert stats["bytes_to_host"] == 2
         assert stats["hypercalls"] == 1
         assert stats["interrupts"] == 1
-
-
-class TestZeroCopySingleCrc:
-    """PR 9 bugfix pin: one buffer wrap, one CRC per unfaulted transfer.
-
-    ``_transfer`` used to materialise ``bytes(data)`` twice (once up
-    front, once per chunk inside ``_chunked``) and CRC the same
-    unmodified buffer twice.  Now every stage operates on memoryview
-    windows over the caller's buffer and the integrity CRC reuses the
-    send CRC whenever the fault engine did not rewrite the payload.
-    """
-
-    def _count_crcs(self, monkeypatch):
-        import repro.core.channel as channel_mod
-        from zlib import crc32 as real_crc32
-        calls = []
-
-        def counting(data, *args):
-            calls.append(data)
-            return real_crc32(data, *args)
-
-        monkeypatch.setattr(channel_mod, "crc32", counting)
-        return calls
-
-    def test_unfaulted_transfer_computes_crc_exactly_once(
-            self, channel, monkeypatch):
-        calls = self._count_crcs(monkeypatch)
-        channel.send_to_guest(b"q" * (2 * PAGE_SIZE + 7))
-        assert len(calls) == 1
-        assert channel.transfers == 1
-        assert channel.integrity_failures == 0
-
-    def test_traced_transfer_still_computes_crc_once(
-            self, channel, machine, monkeypatch):
-        # The instrumented (non-dormant) walk takes the chunked span
-        # path; the single-CRC discipline must hold there too.
-        calls = self._count_crcs(monkeypatch)
-        machine.clock.enable_trace()
-        channel.send_to_guest(b"t" * (PAGE_SIZE + 3))
-        machine.clock.disable_trace()
-        assert len(calls) == 1
-
-    def test_fault_rewritten_payload_gets_a_fresh_crc(
-            self, channel, machine, monkeypatch):
-        from repro.errors import ChannelIntegrityError
-        from repro.faults.engine import FaultEngine
-        from repro.faults.plan import FaultPlan
-
-        calls = self._count_crcs(monkeypatch)
-        engine = FaultEngine(FaultPlan.parse("channel.corrupt:nth=1"),
-                             seed=0)
-        engine.arm(machine.clock)
-        try:
-            with pytest.raises(ChannelIntegrityError):
-                channel.send_to_guest(b"r" * 100)
-        finally:
-            engine.disarm()
-        # send CRC + fresh CRC over the rewritten payload: exactly two.
-        assert len(calls) == 2
-        assert channel.integrity_failures == 1
-
-    def test_chunks_are_views_over_the_callers_buffer(
-            self, channel, machine, monkeypatch):
-        # Zero-copy identity: every chunk written to the shared pages is
-        # a window over the caller's own buffer, not a materialised copy
-        # — in both the dormant fast path and the instrumented walk.
-        data = b"z" * (2 * PAGE_SIZE + 10)
-        seen = []
-        real_write = channel.shared.write
-
-        def recording_write(chunk, offset=0, from_guest=False):
-            seen.append(chunk)
-            return real_write(chunk, offset=offset, from_guest=from_guest)
-
-        monkeypatch.setattr(channel.shared, "write", recording_write)
-        channel.send_to_guest(data)  # dormant fast path
-        machine.clock.enable_trace()
-        channel.send_to_guest(data)  # instrumented walk
-        machine.clock.disable_trace()
-        assert len(seen) == 6  # 3 chunks per transfer
-        for chunk in seen:
-            assert type(chunk) is memoryview
-            assert chunk.obj is data

@@ -1,10 +1,11 @@
-"""The delegation rings: descriptors, CRC framing, depth, backpressure."""
+"""The delegation rings: sized descriptors, corrupt marks, backpressure."""
 
 import pytest
 
 from repro.core.channel import AnceptionChannel
 from repro.core.ring import (
     DESCRIPTOR_SLOT_BYTES,
+    RING_FLAG_BINDER,
     RING_HEADER_BYTES,
     DelegationRing,
     default_ring_depth,
@@ -64,50 +65,75 @@ class TestDepthDerivation:
 
 class TestPushPop:
     def test_round_trip_preserves_payload(self, channel):
-        seq = channel.submit_ring.push("write", b"payload-bytes")
+        seq = channel.submit_ring.push("write", 13, flags=RING_FLAG_BINDER)
         descriptor = channel.submit_ring.pop()
         assert descriptor.seq == seq
         assert descriptor.call == "write"
-        assert descriptor.payload == b"payload-bytes"
+        assert descriptor.size == len(descriptor) == 13
+        assert descriptor.flags == RING_FLAG_BINDER
+        assert descriptor.corrupt is False
 
     def test_sequence_numbers_are_monotonic(self, channel):
-        seqs = [channel.submit_ring.push("write", b"x") for _ in range(5)]
+        seqs = [channel.submit_ring.push("write", 1) for _ in range(5)]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 5
 
     def test_pop_empty_returns_none(self, channel):
         assert channel.submit_ring.pop() is None
 
-    def test_payload_crosses_the_shared_pages(self, channel):
-        channel.submit_ring.push("write", b"RING-BYTES")
-        assert channel.shared.read(10, from_guest=True) == b"RING-BYTES"
-
     def test_completion_ring_uses_caller_seq(self, channel):
-        channel.complete_ring.push("write", b"\x00" * 8, seq=41)
+        channel.complete_ring.push("write", 8, seq=41)
         descriptor = channel.complete_ring.pop()
         assert descriptor.seq == 41
 
     def test_non_bytes_payload_rejected(self, channel):
-        with pytest.raises(ChannelError):
-            channel.submit_ring.push("write", "not-bytes")
+        # The payload is its size: anything but a non-negative int —
+        # bytes included — is refused before it reaches the channel.
+        for size in ("not-bytes", b"bytes", -1, 2.0, True, None):
+            with pytest.raises(ChannelError, match="non-negative int"):
+                channel.submit_ring.push("write", size)
+        assert len(channel.submit_ring) == 0
+        assert channel.transfers == 0
+
+    def test_payload_crosses_the_shared_pages(self, channel):
+        # No bytes are copied, but the push still touches the window
+        # from both sides: a frame outside the guest window violates.
+        from repro.errors import HypervisorViolation
+        from repro.kernel.memory import Window
+
+        channel.submit_ring.push("write", 10)
+        assert channel.bytes_to_guest == 10
+        channel.shared.guest_window = Window(0, 1)
+        with pytest.raises(HypervisorViolation):
+            channel.submit_ring.push("write", 10)
 
     def test_push_charges_the_channel_transfer(self, channel, machine):
         before = channel.bytes_to_guest
-        channel.submit_ring.push("write", b"d" * 600)
+        start = machine.clock.now_ns
+        channel.submit_ring.push("write", 600)
         assert channel.bytes_to_guest - before == 600
+        costs = machine.costs
+        assert machine.clock.now_ns - start == costs.chunk_fixed_ns + int(
+            costs.marshal_in_per_byte_ns * 600)
+
+    def test_zero_size_descriptor_pays_one_chunk(self, channel, machine):
+        start = machine.clock.now_ns
+        channel.complete_ring.push("close", 0, seq=3)
+        assert machine.clock.now_ns - start == machine.costs.chunk_fixed_ns
+        assert channel.complete_ring.pop().size == 0
 
 
 class TestCapacityAndBackpressure:
     def test_oversized_descriptor_raises_typed_error(self, channel):
-        too_big = b"x" * (channel.capacity - RING_HEADER_BYTES + 1)
+        too_big = channel.capacity - RING_HEADER_BYTES + 1
         with pytest.raises(ChannelCapacityError) as exc:
             channel.submit_ring.push("write", too_big)
-        assert exc.value.nbytes == len(too_big)
+        assert exc.value.nbytes == too_big
         assert exc.value.capacity == channel.capacity
         assert str(channel.capacity) in str(exc.value)
 
     def test_largest_fitting_descriptor_accepted(self, channel):
-        just_fits = b"x" * (channel.capacity - RING_HEADER_BYTES)
+        just_fits = channel.capacity - RING_HEADER_BYTES
         assert channel.submit_ring.push("write", just_fits) > 0
 
     def test_full_ring_raises_ring_full(self, machine):
@@ -116,9 +142,9 @@ class TestCapacityAndBackpressure:
         tight = AnceptionChannel(hypervisor, machine.costs, num_pages=4,
                                  ring_depth=3)
         for _ in range(3):
-            tight.submit_ring.push("write", b"w")
+            tight.submit_ring.push("write", 1)
         with pytest.raises(RingFull) as exc:
-            tight.submit_ring.push("write", b"w")
+            tight.submit_ring.push("write", 1)
         assert exc.value.depth == 3
         assert tight.submit_ring.free_slots() == 0
 
@@ -127,11 +153,11 @@ class TestCapacityAndBackpressure:
         hypervisor.launch_guest()
         tight = AnceptionChannel(hypervisor, machine.costs, num_pages=4,
                                  ring_depth=2)
-        tight.submit_ring.push("write", b"a")
-        tight.submit_ring.push("write", b"b")
+        tight.submit_ring.push("write", 1)
+        tight.submit_ring.push("write", 1)
         tight.submit_ring.pop()
         assert tight.submit_ring.free_slots() == 1
-        tight.submit_ring.push("write", b"c")
+        tight.submit_ring.push("write", 1)
 
 
 class TestFaultSites:
@@ -139,16 +165,42 @@ class TestFaultSites:
                                                       machine):
         engine = FaultEngine("ring.corrupt:nth=1").arm(machine.clock)
         try:
-            channel.submit_ring.push("write", b"precious-payload")
-            with pytest.raises(ChannelIntegrityError):
+            channel.submit_ring.push("write", 16)
+            with pytest.raises(ChannelIntegrityError) as exc:
                 channel.submit_ring.pop()
         finally:
             engine.disarm()
         assert channel.integrity_failures == 1
+        assert exc.value.direction == "to-guest"
+        assert exc.value.nbytes == exc.value.delivered == 16
+        assert "marked corrupt" in str(exc.value)
+
+    def test_ring_corrupt_skips_empty_descriptors(self, channel, machine):
+        # Nothing to mangle in an empty slot: the site's occurrence
+        # counter only advances for real payloads.
+        engine = FaultEngine("ring.corrupt:nth=1").arm(machine.clock)
+        try:
+            channel.complete_ring.push("close", 0, seq=1)
+            assert channel.complete_ring.pop().seq == 1
+            assert engine.fired == []
+            channel.complete_ring.push("read", 8, seq=2)
+            with pytest.raises(ChannelIntegrityError):
+                channel.complete_ring.pop()
+        finally:
+            engine.disarm()
+
+    def test_corrupt_marked_slot_is_refused(self, channel):
+        # A slot tampered with in the shared pages (no fault engine):
+        # the consumer refuses the mark, it never hands the call on.
+        channel.submit_ring.push("write", 4)
+        channel.submit_ring._queue[0].corrupt = True
+        with pytest.raises(ChannelIntegrityError):
+            channel.submit_ring.pop()
+        assert channel.submit_ring.pop() is None
 
     def test_ring_reorder_delivers_second_first(self, channel, machine):
-        first = channel.submit_ring.push("write", b"first")
-        second = channel.submit_ring.push("write", b"second")
+        first = channel.submit_ring.push("write", 5)
+        second = channel.submit_ring.push("write", 6)
         engine = FaultEngine("ring.reorder:nth=1").arm(machine.clock)
         try:
             assert channel.submit_ring.pop().seq == second
@@ -162,15 +214,15 @@ class TestFaultSites:
         hypervisor.launch_guest()
         tight = AnceptionChannel(hypervisor, machine.costs, num_pages=4,
                                  ring_depth=2)
-        tight.submit_ring.push("write", b"a")
-        tight.submit_ring.push("write", b"b")
+        tight.submit_ring.push("write", 1)
+        tight.submit_ring.push("write", 1)
         engine = FaultEngine("ring.full:nth=1:delay_us=500").arm(
             machine.clock
         )
         try:
             before = machine.clock.now_ns
             with pytest.raises(RingFull):
-                tight.submit_ring.push("write", b"c")
+                tight.submit_ring.push("write", 1)
             stalled = machine.clock.now_ns - before
         finally:
             engine.disarm()
@@ -186,7 +238,7 @@ class TestFaultSites:
         )
         try:
             before = machine.clock.now_ns
-            channel.submit_ring.push("write", b"w")
+            channel.submit_ring.push("write", 1)
             stalled = machine.clock.now_ns - before
         finally:
             engine.disarm()
@@ -196,21 +248,21 @@ class TestFaultSites:
 
 class TestResetAndStats:
     def test_reset_drops_queued_descriptors(self, channel):
-        channel.submit_ring.push("write", b"a")
-        channel.submit_ring.push("write", b"b")
+        channel.submit_ring.push("write", 1)
+        channel.submit_ring.push("write", 1)
         assert channel.submit_ring.reset() == 2
         assert channel.submit_ring.pop() is None
 
     def test_reset_rings_clears_both_directions(self, channel):
-        channel.submit_ring.push("write", b"a")
-        channel.complete_ring.push("write", b"\x00", seq=1)
+        channel.submit_ring.push("write", 1)
+        channel.complete_ring.push("write", 1, seq=1)
         channel.reset_rings()
         assert len(channel.submit_ring) == 0
         assert len(channel.complete_ring) == 0
 
     def test_stats_track_traffic(self, channel):
-        channel.submit_ring.push("write", b"a")
-        channel.submit_ring.push("write", b"b")
+        channel.submit_ring.push("write", 1)
+        channel.submit_ring.push("write", 1)
         channel.submit_ring.pop()
         stats = channel.submit_ring.stats()
         assert stats["pushed"] == 2

@@ -98,6 +98,20 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="version"):
             restore_world(bytes(blob))
 
+    def test_v1_wire_byte_blob_is_refused(self, anception_world):
+        # v1 blobs carried rendered wire bytes in ring descriptors,
+        # pending calls and staged window entries; v2 carries sizes.
+        import struct
+
+        assert SNAPSHOT_VERSION == 2
+        blob = bytearray(anception_world.snapshot())
+        struct.pack_into("<H", blob, 8, 1)
+        for reader in (describe_snapshot, restore_world):
+            with pytest.raises(SnapshotError,
+                               match="unsupported snapshot version 1 "
+                                     r"\(this build reads 2\)"):
+                reader(bytes(blob))
+
     def test_truncated_payload(self, anception_world):
         blob = anception_world.snapshot()
         with pytest.raises(SnapshotError, match="truncated"):

@@ -185,3 +185,57 @@ class TestOverlapRollbackUnderChaos:
 
     def test_faulted_drain_replays_byte_identical(self):
         assert self._run_once() == self._run_once()
+
+
+class TestWireFaultReplayPins:
+    """Corrupt/truncate faults replay to pinned cursors and sim digests.
+
+    The wire carries sizes, so ``channel.corrupt``, ``channel.truncate``
+    and ``ring.corrupt`` set a corrupt mark or a short delivered size
+    instead of mangling bytes.  These pins were captured when the
+    faults still flipped and cut real payload bytes: the fired log
+    (site, occurrence, sim timestamp — and, through the ``p=`` rules,
+    the PRNG stream) and the traced span stream must not move.
+    """
+
+    PLAN = ("channel.corrupt:p=0.08;channel.truncate:p=0.08;"
+            "ring.corrupt:p=0.08;irq.drop:p=0.1")
+
+    PINS = {
+        ("fileops", 6): (
+            "syscall-error", 7196122,
+            {"channel.corrupt": 2, "channel.truncate": 3, "irq.drop": 3,
+             "ring.corrupt": 7},
+            "8839fc1c3dcc18a6", "18110f0dfba6ffc6",
+        ),
+        ("fileops", 10): (
+            "ok", 10020423,
+            {"channel.corrupt": 3, "channel.truncate": 7, "irq.drop": 1,
+             "ring.corrupt": 5},
+            "f1795e1c07860d85", "cab4d2812e7a4d77",
+        ),
+        ("writeburst", 0): (
+            "syscall-error", 3048069,
+            {"channel.corrupt": 5, "channel.truncate": 2, "irq.drop": 1,
+             "ring.corrupt": 1},
+            "c16375c1920a8d6c", "abf4bd42185518b8",
+        ),
+    }
+
+    @staticmethod
+    def _sha(value):
+        import hashlib
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize(("workload", "seed"), sorted(PINS))
+    def test_replays_to_the_pinned_cursor_and_digest(self, workload, seed):
+        knobs = ({"write_behind": True, "read_cache": True,
+                  "binder_ring": True} if workload == "writeburst" else {})
+        result = run_chaos(workload, seed=seed, faults=self.PLAN, **knobs)
+        fired = [(f["site"], f["occurrence"], f["ts_ns"])
+                 for f in result.faults["fired"]]
+        spans = [(r.get("type"), r.get("kind"), r.get("name"),
+                  r.get("ts_ns"), r.get("dur_ns")) for r in result.records]
+        assert (result.status, result.elapsed_ns,
+                result.faults["fired_by_site"], self._sha(fired),
+                self._sha(spans)) == self.PINS[(workload, seed)]

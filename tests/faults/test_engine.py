@@ -1,6 +1,7 @@
 """The fault engine: triggers, determinism, per-layer effects."""
 
 import errno
+import random
 
 import pytest
 
@@ -97,8 +98,7 @@ class TestDeterminism:
         engine = engine_on_clock(self.PLAN, seed=seed)
         outcomes = []
         for i in range(40):
-            outcomes.append(engine.channel_payload("to-guest",
-                                                   b"payload-%d" % i))
+            outcomes.append(engine.channel_delivery("to-guest", 9 + i))
             outcomes.append(engine.drop_irq())
         return outcomes, engine.report()
 
@@ -117,23 +117,35 @@ class TestDeterminism:
 
 class TestEffects:
     def test_corrupt_flips_one_byte(self):
-        engine = engine_on_clock("channel.corrupt:nth=1")
-        data = b"A" * 64
-        mangled = engine.channel_payload("to-guest", data)
-        assert mangled != data
-        assert len(mangled) == len(data)
-        assert sum(a != b for a, b in zip(mangled, data)) == 1
+        # A corruption models one flipped byte: it draws one byte index
+        # (keeping the PRNG stream, so later probability rules fire at
+        # the same occurrences) and marks the whole delivery corrupt.
+        engine = engine_on_clock("channel.corrupt:nth=1", seed=5)
+        assert engine.channel_delivery("to-guest", 64) == (64, True)
+        reference = random.Random(5)
+        reference.randrange(64)
+        assert engine.rng.getstate() == reference.getstate()
+        assert engine.channel_delivery("to-guest", 64) == (64, False)
 
     def test_truncate_halves(self):
         engine = engine_on_clock("channel.truncate:nth=1")
-        assert engine.channel_payload("to-host", b"B" * 64) == b"B" * 32
+        assert engine.channel_delivery("to-host", 64) == (32, False)
 
     def test_empty_payload_untouched_and_uncounted(self):
         engine = engine_on_clock("channel.corrupt:nth=1")
-        assert engine.channel_payload("to-guest", b"") == b""
+        assert engine.channel_delivery("to-guest", 0) == (0, False)
         assert engine.fired == []
         # nth=1 still pending: the next real payload gets it
-        assert engine.channel_payload("to-guest", b"xx") != b"xx"
+        assert engine.channel_delivery("to-guest", 2) == (2, True)
+
+    def test_ring_corrupt_marks_and_draws(self):
+        engine = engine_on_clock("ring.corrupt:nth=2", seed=9)
+        assert engine.ring_corrupt("write", 0) is False  # uncounted
+        assert engine.ring_corrupt("write", 40) is False
+        assert engine.ring_corrupt("write", 40) is True
+        reference = random.Random(9)
+        reference.randrange(40)
+        assert engine.rng.getstate() == reference.getstate()
 
     def test_stall_duration(self):
         engine = engine_on_clock("channel.stall:nth=1:delay_us=500")
