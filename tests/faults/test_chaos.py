@@ -239,3 +239,107 @@ class TestWireFaultReplayPins:
         assert (result.status, result.elapsed_ns,
                 result.faults["fired_by_site"], self._sha(fired),
                 self._sha(spans)) == self.PINS[(workload, seed)]
+
+
+class TestWindowFaultReplayPins:
+    """Async-window fault sites replay to pinned cursors and digests.
+
+    Between them the pinned runs fire every write-behind and binder
+    window site (``wb.error``, ``wb.reap-loss``, ``binder.drop``,
+    ``binder.reorder``, ``binder.reply-loss``) plus ``ring.corrupt``
+    inside window drains, with recovery on (reap re-polls, drain
+    retries) and off (lost completions, exhausted retries ledgered as
+    EIO/ECANCELED), on one lane and on a 4-lane by-uid pool.  Each pin
+    covers the run's status and error text, elapsed sim ns, fired sites,
+    and sha256 prefixes of the fired log, of every traced record (spans,
+    events and charges with all their fields), of the recovery log and
+    of the two window stats blocks.
+    """
+
+    PLAN = ("binder.reorder:p=0.5;binder.reply-loss:p=0.5;"
+            "binder.drop:nth=20;wb.reap-loss:p=0.5;wb.error:nth=60;"
+            "ring.corrupt:p=0.03")
+
+    PINS = {
+        ("binderburst", 1, True, 0): (
+            "syscall-error", "EIO in fence (deferred binder delivery error)",
+            302842539,
+            {"binder.drop": 1, "binder.reply-loss": 1, "ring.corrupt": 1},
+            "66ec699321a3f639", "cc5aebcb1b86f985", "9d6433db1b788618",
+            "05f7f70669015d32",
+        ),
+        ("binderburst", 1, False, 0): (
+            "syscall-error",
+            "EIO in ioctl (deferred binder delivery error for 'location')",
+            94015448, {"binder.reply-loss": 1},
+            "b0fb88c84ab12d03", "d5779fbb75f5e835", "4f53cda18c2baa0c",
+            "9aaf6bc193c50134",
+        ),
+        ("binderburst", 4, True, 1): (
+            "syscall-error",
+            "EIO in ioctl (deferred binder delivery error for 'location')",
+            237252393,
+            {"binder.drop": 1, "binder.reorder": 4, "ring.corrupt": 3},
+            "d42b965ed8d14822", "517bc5c6d030d0a6", "7edd20050a7dc84d",
+            "1afffec7440fbb7e",
+        ),
+        ("binderburst", 4, False, 1): (
+            "syscall-error",
+            "EIO in ioctl (deferred binder delivery error for 'location')",
+            69883388, {"binder.reorder": 1, "ring.corrupt": 1},
+            "1043b9b2b82e9a92", "3f735a6a9e0dba98", "4f53cda18c2baa0c",
+            "f8abd308040d487e",
+        ),
+        ("writeburst", 1, True, 0): (
+            "syscall-error",
+            "EIO in fence (deferred write-behind error on fd 3)", 8921980,
+            {"ring.corrupt": 4, "wb.error": 1, "wb.reap-loss": 2},
+            "b8ef150779eaeec2", "5816aee0fd8ba2a9", "8075b63328981e98",
+            "aff5fe925bbfec81",
+        ),
+        ("writeburst", 4, False, 0): (
+            "syscall-error",
+            "EIO in fence (deferred write-behind error on fd 3)", 3879708,
+            {"ring.corrupt": 1, "wb.reap-loss": 1},
+            "544916a361185ecf", "11d2eff7a96f6430", "4f53cda18c2baa0c",
+            "aff5fe925bbfec81",
+        ),
+    }
+
+    @staticmethod
+    def _sha(value):
+        import hashlib
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @classmethod
+    def observe(cls, workload, cvms, recovery, seed):
+        knobs = {"write_behind": True, "binder_ring": True,
+                 "read_cache": True, "cvms": cvms}
+        if cvms > 1:
+            knobs["placement"] = "by-uid"
+        result = run_chaos(workload, seed=seed, faults=cls.PLAN,
+                           recovery=recovery, **knobs)
+        fired = [(f["site"], f["occurrence"], f["ts_ns"])
+                 for f in result.faults["fired"]]
+        records = [sorted(dict(r).items()) for r in result.records]
+        windows = (result.stats["write_behind"],
+                   result.stats["binder_ring"])
+        return (result.status, result.error, result.elapsed_ns,
+                result.faults["fired_by_site"], cls._sha(fired),
+                cls._sha(records), cls._sha(result.recovery_log),
+                cls._sha(windows))
+
+    @pytest.mark.parametrize(("workload", "cvms", "recovery", "seed"),
+                             sorted(PINS))
+    def test_replays_to_the_pinned_cursor_and_digest(self, workload, cvms,
+                                                     recovery, seed):
+        assert self.observe(workload, cvms, recovery, seed) \
+            == self.PINS[(workload, cvms, recovery, seed)]
+
+    def test_pins_fire_every_window_site(self):
+        fired = set()
+        for pin in self.PINS.values():
+            fired.update(pin[3])
+        assert {"wb.error", "wb.reap-loss", "binder.drop",
+                "binder.reorder", "binder.reply-loss"} <= fired
+        assert {key[2] for key in self.PINS} == {True, False}

@@ -40,7 +40,15 @@ SEED_DIGESTS = {
 }
 
 
-def _digest(workload, cvms):
+BINDER_DIGESTS = {
+    ("binderburst", 1): (495566086, 659, "a9556aafbb57f939"),
+    ("binderburst", 4): (495566086, 659, "a9556aafbb57f939"),
+}
+"""The batched-binder window path: the same digest, booted with the
+binder ring on as well as write-behind."""
+
+
+def _digest(workload, cvms, binder_ring=False):
     """(elapsed sim ns, charge count, charge-stream sha) for a workload.
 
     Two traced steady-state iterations (after one warm-up inside
@@ -50,7 +58,7 @@ def _digest(workload, cvms):
     the one the dormant fast paths must never diverge from.
     """
     world, ctx = boot_obs_world(read_cache=True, write_behind=True,
-                                cvms=cvms)
+                                binder_ring=binder_ring, cvms=cvms)
     fn = TRACE_WORKLOADS[workload]
     clock = world.clock
     marker = clock.enable_trace()
@@ -70,6 +78,24 @@ def _digest(workload, cvms):
 @pytest.mark.parametrize(("workload", "cvms"), sorted(SEED_DIGESTS))
 def test_sim_digest_matches_seed_world(workload, cvms):
     assert _digest(workload, cvms) == SEED_DIGESTS[(workload, cvms)]
+
+
+@pytest.mark.parametrize(("workload", "cvms"), sorted(BINDER_DIGESTS))
+def test_sim_digest_matches_binder_window_pin(workload, cvms):
+    assert _digest(workload, cvms, binder_ring=True) \
+        == BINDER_DIGESTS[(workload, cvms)]
+
+
+def test_dormant_binder_windows_elapse_identical_sim_time():
+    """Untraced binder-window drains land on the traced nanosecond."""
+    for cvms in (1, 4):
+        world, ctx = boot_obs_world(read_cache=True, write_behind=True,
+                                    binder_ring=True, cvms=cvms)
+        start = world.clock.now_ns
+        _iterate(ctx, "binderburst", 1)
+        _iterate(ctx, "binderburst", 1)
+        elapsed = world.clock.now_ns - start
+        assert elapsed == BINDER_DIGESTS[("binderburst", cvms)][0]
 
 
 def test_dormant_run_elapses_identical_sim_time():
