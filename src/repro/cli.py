@@ -255,7 +255,7 @@ def _pool_summary(anception):
         f" placement={pool_stats['placement']['policy']}"
         f" assignments={pool_stats['assignments']}"
         f" flaps={pool_stats['flaps']}"
-        f" rebalances={pool_stats['rebalances']}"
+        f" migrations={pool_stats['migrations']}"
     ]
     for lane_name, entry in sorted(stats["per_cvm"].items()):
         lines.append(

@@ -28,7 +28,9 @@ from repro.core.policy import Decision, RedirectionPolicy
 from repro.core.pool import CVMLane, CVMPool
 from repro.core.proxy import ProxyManager
 from repro.core.recovery import RecoveryPolicy
-from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
+from repro.core.windows import (
+    ANY_KEY, BINDER, WINDOW_DEPTH, WRITE_BEHIND, AsyncWindows,
+)
 from repro.errors import (
     ChannelError,
     ChannelStalled,
@@ -43,7 +45,6 @@ from repro.kernel.loader import run_payload
 from repro.kernel.memory import MAP_ANONYMOUS
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
-from repro.obs import prof as _prof
 from repro.obs.bus import maybe_event, maybe_span
 from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
@@ -160,238 +161,6 @@ class DelegationBatch:
         return False
 
 
-WRITE_BEHIND_DEPTH = 32
-"""Default bound on one task's in-flight write-behind window (clamped
-to the ring depth: a window must drain behind one doorbell pair)."""
-
-
-class WriteBehindEntry:
-    """One deferred side-effect call staged in a write-behind window."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("name", "args", "call_args", "wire", "fd", "result")
-
-    def __init__(self, name, args, call_args, wire, fd, result):
-        self.name = name
-        self.args = args
-        self.call_args = call_args
-        self.wire = wire
-        """Marshaled wire size in bytes, paid for at staging time."""
-        self.fd = fd
-        self.result = result
-
-    def __repr__(self):
-        return f"WriteBehindEntry({self.name}, fd={self.fd})"
-
-
-class _WbWindow:
-    """One task's open in-flight window of staged entries."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("task", "entries")
-
-    def __init__(self, task):
-        self.task = task
-        self.entries = []
-
-
-class WriteBehind:
-    """Per-task async submission windows plus the deferred-error ledger.
-
-    Deferrable calls (plain writes to validated writable CVM files)
-    return optimistically while their descriptors sit staged in a
-    bounded per-task window; a drain ships the window through the ring
-    while the host keeps running (the CVM lane absorbs the cost).  A
-    drained entry that fails lands in the per-``(pid, fd)`` ledger —
-    first error wins, later same-window entries get ECANCELED — and is
-    surfaced exactly once at the next fence on that fd.
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, depth=WRITE_BEHIND_DEPTH):
-        self.depth = depth
-        self.windows = {}
-        """pid -> :class:`_WbWindow` of staged entries."""
-        self.errors = {}
-        """(pid, host_fd) -> deferred :class:`SyscallError` (first wins)."""
-        self.enqueued = 0
-        self.drains = 0
-        self.fences = 0
-        self.deferred_errors = 0
-        self.max_depth_seen = 0
-
-    def window(self, task):
-        window = self.windows.get(task.pid)
-        if window is None:
-            window = self.windows[task.pid] = _WbWindow(task)
-        return window
-
-    def pending_windows(self):
-        """Windows with staged entries, in deterministic pid order."""
-        return [w for _pid, w in sorted(self.windows.items())
-                if w.entries]
-
-    def record_error(self, pid, fd, exc):
-        """Ledger ``exc`` for ``(pid, fd)``; ``True`` if it was first."""
-        key = (pid, fd)
-        if key in self.errors:
-            return False
-        self.errors[key] = exc
-        self.deferred_errors += 1
-        return True
-
-    def take_error(self, pid, fd):
-        """Pop (surface-exactly-once) the deferred error for a fd."""
-        return self.errors.pop((pid, fd), None)
-
-    def clear(self):
-        """Drop all windows and ledger entries (container reboot: the
-        descriptors they named died with the old CVM)."""
-        self.windows.clear()
-        self.errors.clear()
-
-    def stats(self):
-        return {
-            "depth": self.depth,
-            "enqueued": self.enqueued,
-            "drains": self.drains,
-            "fences": self.fences,
-            "deferred_errors": self.deferred_errors,
-            "pending": sum(len(w.entries) for w in self.windows.values()),
-            "max_depth_seen": self.max_depth_seen,
-        }
-
-
-BINDER_RING_DEPTH = 32
-"""Default bound on one task's staged oneway-binder window (clamped to
-the ring depth, like write-behind: a window drains behind one doorbell
-pair)."""
-
-
-class BinderRingEntry:
-    """One oneway binder transaction staged in a batched window."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("transaction", "target", "payload_bytes", "call_args",
-                 "wire")
-
-    def __init__(self, transaction, call_args, wire):
-        self.transaction = transaction
-        self.target = transaction.target
-        self.payload_bytes = transaction.payload_size
-        self.call_args = call_args
-        self.wire = wire
-        """Marshaled wire size in bytes, paid for at staging time."""
-
-    def __repr__(self):
-        return f"BinderRingEntry({self.transaction!r})"
-
-
-class _BinderWindow:
-    """One task's open window of staged oneway transactions."""
-
-    __snapshot__ = "auto"
-
-    __slots__ = ("task", "entries")
-
-    def __init__(self, task):
-        self.task = task
-        self.entries = []
-
-
-class BinderRing:
-    """Batched binder delegation state: per-task oneway windows plus the
-    per-``(pid, target)`` deferred-error ledger.
-
-    Oneway (TF_ONE_WAY) transactions to pre-validated CVM services
-    return ``None`` optimistically while their marshaled descriptors sit
-    in a bounded per-task window; a drain ships the whole window through
-    the delegation ring behind one IRQ+hypercall doorbell pair, paying
-    the fixed cross-VM binder latency once per window instead of once
-    per call, with execution riding the CVM clock lane.  A delivery that
-    fails (injected ``binder.*`` faults, delegation failures) lands in
-    the ledger — first error per ``(pid, target)`` wins — and surfaces
-    exactly once at the next fence: the next reply-carrying transaction
-    to that target (fence-on-reply) or an explicit barrier.
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, depth=BINDER_RING_DEPTH):
-        self.depth = depth
-        self.windows = {}
-        """pid -> :class:`_BinderWindow` of staged entries."""
-        self.errors = {}
-        """(pid, target) -> deferred :class:`SyscallError` (first wins)."""
-        self.enqueued = 0
-        self.drains = 0
-        self.fences = 0
-        self.deferred_errors = 0
-        self.bulk_parcels = 0
-        self.dropped = 0
-        self.reordered = 0
-        self.max_depth_seen = 0
-
-    def window(self, task):
-        window = self.windows.get(task.pid)
-        if window is None:
-            window = self.windows[task.pid] = _BinderWindow(task)
-        return window
-
-    def pending_windows(self):
-        """Windows with staged entries, in deterministic pid order."""
-        return [w for _pid, w in sorted(self.windows.items())
-                if w.entries]
-
-    def record_error(self, pid, target, exc):
-        """Ledger ``exc`` for ``(pid, target)``; ``True`` if first."""
-        key = (pid, target)
-        if key in self.errors:
-            return False
-        self.errors[key] = exc
-        self.deferred_errors += 1
-        return True
-
-    def take_error(self, pid, target):
-        """Pop (surface-exactly-once) the deferred error for a target."""
-        return self.errors.pop((pid, target), None)
-
-    def take_any_error(self, pid):
-        """Pop this pid's first ledgered error, in sorted target order.
-
-        The explicit fence barrier names no target, but must not let a
-        deferred delivery failure vanish silently — it surfaces the
-        earliest key deterministically.
-        """
-        for key in sorted(k for k in self.errors if k[0] == pid):
-            return self.errors.pop(key)
-        return None
-
-    def clear(self):
-        """Drop all windows and ledger entries (container reboot: the
-        services they named died with the old CVM)."""
-        self.windows.clear()
-        self.errors.clear()
-
-    def stats(self):
-        return {
-            "depth": self.depth,
-            "enqueued": self.enqueued,
-            "drains": self.drains,
-            "fences": self.fences,
-            "deferred_errors": self.deferred_errors,
-            "bulk_parcels": self.bulk_parcels,
-            "dropped": self.dropped,
-            "reordered": self.reordered,
-            "pending": sum(len(w.entries) for w in self.windows.values()),
-            "max_depth_seen": self.max_depth_seen,
-        }
-
-
 class AnceptionLayer:
     """Host-side redirection layer plus its container VM."""
 
@@ -498,29 +267,25 @@ class AnceptionLayer:
                 # survive (they are run-level telemetry).
                 lane.page_cache.clear()
         if self._async_delegation:
-            if lane.write_behind is None:
-                depth = (self._write_behind_depth
-                         if self._write_behind_depth is not None
-                         else min(WRITE_BEHIND_DEPTH,
-                                  lane.channel.ring_depth))
-                lane.write_behind = WriteBehind(depth)
-            else:
-                # Staged windows and ledgered errnos name proxy
-                # descriptors that died with the old container.
-                lane.write_behind.clear()
+            lane.write_behind = self._arm_windows(
+                lane, lane.write_behind, WRITE_BEHIND,
+                self._write_behind_depth)
         if self._binder_ring_on:
-            if lane.binder_ring is None:
-                bdepth = (self._binder_ring_depth
-                          if self._binder_ring_depth is not None
-                          else min(BINDER_RING_DEPTH,
-                                   lane.channel.ring_depth))
-                lane.binder_ring = BinderRing(bdepth)
-            else:
-                # Staged oneway windows name service instances (and a
-                # proxy binder fd) that died with the old container.
-                lane.binder_ring.clear()
+            lane.binder_ring = self._arm_windows(
+                lane, lane.binder_ring, BINDER, self._binder_ring_depth)
         lane.cvm.kernel.network.firewall = self._firewall_rule
         return lane
+
+    def _arm_windows(self, lane, windows, policy, depth):
+        """A new lane's async windows, or a rebooted lane's cleared:
+        staged entries and ledgered errnos name descriptors and service
+        instances that died with the old container."""
+        if windows is not None:
+            windows.clear()
+            return windows
+        if depth is None:
+            depth = min(WINDOW_DEPTH, lane.channel.ring_depth)
+        return AsyncWindows(policy, depth, self, lane)
 
     # -- single-CVM back-compat views (lane 0) -------------------------
 
@@ -651,14 +416,14 @@ class AnceptionLayer:
         lane = self._lane(task)
         if lane.write_behind is not None:
             if translated is None and self._wb_accepts(task, name, args,
-                                                       kwargs, lane=lane):
-                return self._wb_enqueue(task, name, args, lane=lane)
+                                                       kwargs, lane):
+                return self._wb_enqueue(task, name, args, lane)
             # Every other redirected call is a fence: the staged windows
             # drain (and the lane settles) before it runs, preserving
             # program order — and keeping the page cache coherent, since
             # the drain's completions write through before any cached
             # read below can hit.
-            self._wb_fence(task, name, args, lane=lane)
+            self._wb_fence(lane, task, name, args)
         if translated is None and not kwargs:
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
@@ -716,15 +481,16 @@ class AnceptionLayer:
             return 0 if name == "writev" else []
         lane = self._lane(task)
         if lane.write_behind is not None:
-            if name == "writev" and self._wb_accepts_writev(task, fd, vec,
-                                                            lane=lane):
+            if name == "writev" and self._wb_writable(task, fd, lane) \
+                    and all(isinstance(entry, (bytes, bytearray, memoryview))
+                            for entry in vec):
                 # Defer per-iovec, matching the sync decomposition: each
                 # entry becomes its own staged write descriptor.
                 return sum(
-                    self._wb_enqueue(task, "write", (fd, entry), lane=lane)
+                    self._wb_enqueue(task, "write", (fd, entry), lane)
                     for entry in vec
                 )
-            self._wb_fence(task, name, (fd,), lane=lane)
+            self._wb_fence(lane, task, name, (fd,))
         if name == "readv":
             served = self._cache_readv(task, fd, vec)
             if served is not None:
@@ -827,55 +593,42 @@ class AnceptionLayer:
         Returns the :class:`PendingCall` tracking it.  A full ring
         flushes first (bounded backpressure): the in-flight window is
         retired behind one doorbell pair before new work queues.  A
-        pre-staged ``wire`` size (write-behind or binder-window drain)
-        skips the marshal step — the host already paid for packing when
-        the call deferred.  ``ring_flags`` overrides the descriptor flags
-        (the binder drain tags its descriptors ``RING_FLAG_BINDER``).
-        Window-shaped callers resolve the task's ``lane`` once and pass
-        it down instead of paying the pool lookup per descriptor.
+        pre-staged ``wire`` size (an async-window drain) skips the
+        marshal step — the host already paid for packing when the call
+        deferred — and the drain tags its descriptors with its window's
+        ``ring_flags``.  Window-shaped callers resolve the task's
+        ``lane`` once and pass it down instead of paying the pool lookup
+        per descriptor.
         """
-        if _prof._ACTIVE is None:
-            return self._submit_impl(task, name, args, kwargs, translated,
-                                     wire, ring_flags, lane)
         with wall_zone("anception.submit"):
-            return self._submit_impl(task, name, args, kwargs, translated,
-                                     wire, ring_flags, lane)
-
-    def _submit_impl(self, task, name, args, kwargs, translated, wire,
-                     ring_flags, lane):
-        if lane is None:
-            lane = self._lane(task)
-        if not lane.channel.submit_ring.free_slots():
-            self.flush(task, reason="ring-full", lane=lane)
-        lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
-        table = self._fd_table(task)
-        call_args = translated if translated is not None else (
-            table.translate_args(name, args)
-        )
-        crypto_offset = None
-        prestaged = wire is not None
-        clock = self.machine.clock
-        if wire is None:
-            if self.crypto_fs is not None and args:
-                call_args, crypto_offset = self._crypto_outbound(
-                    task, name, args, call_args
-                )
-            _call, wire = marshal_call(name, call_args, kwargs)
-            clock.advance(
-                self.machine.costs.marshal_fixed_ns, "anception:marshal"
+            if lane is None:
+                lane = self._lane(task)
+            if not lane.channel.submit_ring.free_slots():
+                self.flush(task, reason="ring-full", lane=lane)
+            lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
+            table = self._fd_table(task)
+            call_args = translated if translated is not None else (
+                table.translate_args(name, args)
             )
-        clock.advance(
-            self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
-        )
-        seq = lane.channel.submit_ring.push(
-            name, wire,
-            flags=ring_flags if ring_flags
-            else (RING_FLAG_WRITE_BEHIND if prestaged else 0),
-        )
-        pending = PendingCall(seq, task, name, args, call_args, kwargs,
-                              crypto_offset)
-        lane.inflight.append(pending)
-        return pending
+            crypto_offset = None
+            clock = self.machine.clock
+            if wire is None:
+                if self.crypto_fs is not None and args:
+                    call_args, crypto_offset = self._crypto_outbound(
+                        task, name, args, call_args
+                    )
+                _call, wire = marshal_call(name, call_args, kwargs)
+                clock.advance(
+                    self.machine.costs.marshal_fixed_ns, "anception:marshal"
+                )
+            clock.advance(
+                self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
+            )
+            seq = lane.channel.submit_ring.push(name, wire, flags=ring_flags)
+            pending = PendingCall(seq, task, name, args, call_args, kwargs,
+                                  crypto_offset)
+            lane.inflight.append(pending)
+            return pending
 
     def flush(self, task=None, reason=None, lane=None):
         """Ring the doorbells: one IRQ submits every in-flight call,
@@ -893,37 +646,32 @@ class AnceptionLayer:
                     else self.pool.default_lane)
         if not lane.inflight:
             return
-        if _prof._ACTIVE is None:
-            return self._flush_impl(lane, reason)
         with wall_zone("anception.flush"):
-            return self._flush_impl(lane, reason)
-
-    def _flush_impl(self, lane, reason):
-        pendings, lane.inflight = lane.inflight, []
-        count = len(pendings)
-        if reason is None:
-            reason = pendings[0].name if count == 1 else f"batch:{count}"
-        elif count > 1:
-            reason = f"{reason}:{count}"
-        proxy_for = lane.proxies.proxy_for
-        work = {
-            p.seq: (proxy_for(p.task), p.name, p.call_args, p.kwargs)
-            for p in pendings
-        }
-        try:
-            self._signal_guest_reliably(lane, reason, pendings[0].task,
-                                        coalesced=count)
-            outcomes = lane.proxies.drain(lane.channel, work)
-            completions = len(lane.channel.complete_ring)
-            self._drain_completions(lane, pendings, outcomes)
-            if completions:
-                self._signal_host_or_poll(lane, reason, pendings[0].task,
-                                          coalesced=completions)
-        except DelegationError:
-            # Whatever was mid-flight is unrecoverable state now; the
-            # retry loop re-submits from scratch against clean rings.
-            lane.channel.reset_rings()
-            raise
+            pendings, lane.inflight = lane.inflight, []
+            count = len(pendings)
+            if reason is None:
+                reason = pendings[0].name if count == 1 else f"batch:{count}"
+            elif count > 1:
+                reason = f"{reason}:{count}"
+            proxy_for = lane.proxies.proxy_for
+            work = {
+                p.seq: (proxy_for(p.task), p.name, p.call_args, p.kwargs)
+                for p in pendings
+            }
+            try:
+                self._signal_guest_reliably(lane, reason, pendings[0].task,
+                                            coalesced=count)
+                outcomes = lane.proxies.drain(lane.channel, work)
+                completions = len(lane.channel.complete_ring)
+                self._drain_completions(lane, pendings, outcomes)
+                if completions:
+                    self._signal_host_or_poll(lane, reason, pendings[0].task,
+                                              coalesced=completions)
+            except DelegationError:
+                # Whatever was mid-flight is unrecoverable state now; the
+                # retry loop re-submits from scratch against clean rings.
+                lane.channel.reset_rings()
+                raise
 
     def _drain_completions(self, lane, pendings, outcomes):
         """Pop the completion ring dry and bind outcomes to pendings.
@@ -1345,13 +1093,7 @@ class AnceptionLayer:
             if wb is not None:
                 # close is a fence: teardown completes, then any errno
                 # the window deferred for this fd surfaces (once) here.
-                deferred = wb.take_error(task.pid, fd)
-                if deferred is not None:
-                    raise SyscallError(
-                        deferred.errno,
-                        f"deferred write-behind error on fd {fd}",
-                        call="close",
-                    ) from deferred
+                wb.surface(task, fd, "close")
             return 0
         return self.host_kernel.execute_native(task, "close", (fd,), {})
 
@@ -1409,11 +1151,12 @@ class AnceptionLayer:
         # input is an observation point — anything the app fired at the
         # services must land before the world answers back
         # (fence-on-read).
-        if self._lane(task).binder_ring is not None:
+        ring = self._lane(task).binder_ring
+        if ring is not None:
             from repro.android.binder import IOC_WAIT_INPUT_EVT
 
             if request == IOC_WAIT_INPUT_EVT:
-                self._binder_settle(task, "wait-input")
+                ring.settle(task, "wait-input")
         if self.policy.ioctl_is_ui(request, arg):
             return self.host_kernel.execute_native(
                 task, "ioctl", (fd, request, arg), {}
@@ -1444,40 +1187,47 @@ class AnceptionLayer:
         (:meth:`_binder_enqueue`); everything reply-carrying is a fence —
         every staged oneway delivers first, and a deferred delivery
         error for this ``(pid, target)`` surfaces here (fence-on-reply).
-        Parcels above a page then skip the marshal-interleaved per-byte
-        rate and stream through the ring's bulk-copy window at the
-        ``binder_parcel_page_ns`` page rate.
         """
         lane = self._lane(task)
-        if lane.binder_ring is not None:
-            if self._binder_accepts(task, transaction):
-                return self._binder_enqueue(task, request, transaction)
-            self._binder_fence(task, transaction.target, "transact")
-        costs = self.machine.costs
-        clock = self.machine.clock
-        clock.advance(costs.binder_cvm_fixed_ns, "anception:binder-cvm")
+        ring = lane.binder_ring
+        if ring is not None:
+            if self._binder_accepts(lane, transaction):
+                return self._binder_enqueue(task, request, transaction, lane)
+            ring.fence(task, "transact", transaction.target, call="ioctl")
+        self.machine.clock.advance(self.machine.costs.binder_cvm_fixed_ns,
+                                   "anception:binder-cvm")
         payload = transaction.payload_size
         proxy = lane.proxies.proxy_for(task)
         proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
-        if lane.binder_ring is not None and payload > PAGE_SIZE:
-            lane.binder_ring.bulk_parcels += 1
-            clock.advance(
+        args = (fd, request, transaction)
+        translated = (proxy_binder_fd, request, transaction)
+        if self._charge_parcel(ring, payload):
+            with lane.channel.bulk_copy():
+                return self._redirect(task, "ioctl", args, {},
+                                      translated=translated)
+        return self._redirect(task, "ioctl", args, {}, translated=translated)
+
+    def _charge_parcel(self, ring, payload):
+        """Bill one binder parcel into the CVM; ``True`` if it streams.
+
+        With the binder ring on, parcels above a page skip the
+        marshal-interleaved per-byte rate and stream through the ring's
+        bulk-copy window at the ``binder_parcel_page_ns`` page rate —
+        for synchronous transactions and drained oneways alike.
+        """
+        costs = self.machine.costs
+        if ring is not None and payload > PAGE_SIZE:
+            ring.bulk_parcels += 1
+            self.machine.clock.advance(
                 costs.binder_parcel_page_ns * costs.chunks(payload),
                 "anception:binder-parcel",
             )
-            with lane.channel.bulk_copy():
-                return self._redirect(
-                    task, "ioctl", (fd, request, transaction), {},
-                    translated=(proxy_binder_fd, request, transaction),
-                )
-        clock.advance(
+            return True
+        self.machine.clock.advance(
             int(costs.binder_cvm_per_byte_ns * payload),
             "anception:binder-bytes",
         )
-        return self._redirect(
-            task, "ioctl", (fd, request, transaction), {},
-            translated=(proxy_binder_fd, request, transaction),
-        )
+        return False
 
     def _ensure_proxy_binder(self, lane, proxy):
         guest_task = proxy.guest_task
@@ -1704,181 +1454,41 @@ class AnceptionLayer:
         return len(survivors)
 
     # ------------------------------------------------------------------
-    # app rebalancing (move an idle app between lanes)
+    # moving an app between lanes
     # ------------------------------------------------------------------
 
     def rebalance(self, task, target):
-        """Move an idle enrolled app from its lane to ``target``.
-
-        ``target`` is a :class:`~repro.core.pool.CVMLane` or a cvm id.
-        The protocol pins differential equivalence: the app's staged
-        async windows drain and its source lane settles first (so no
-        in-flight state can be lost), its private ``/data/data`` tree
-        is replicated into the target container, its proxy is rebuilt
-        there, and every remote fd is re-opened by path with the
-        original flags (minus O_CREAT|O_TRUNC, so contents survive) and
-        its file offset restored — the app observes the same bytes from
-        the same descriptors afterwards.  Deferred-errno ledger entries
-        travel with the app, so a fence still surfaces them.
-
-        Returns ``True`` on a committed move.  Apps holding non-file
-        CVM resources (sockets, pipes) are skipped (``False``) — those
-        cannot be transparently re-opened — as is a same-lane no-op.
-        The ``pool.rebalance-loss`` fault site aborts the protocol
-        before the commit point: the app simply stays put.
-        """
-        if not isinstance(target, CVMLane):
-            target = self.pool.lane_by_id(int(target))
-        source = self._lane(task)
-        if target is source:
-            return False
-        table = self._fd_table(task)
-        source_proxy = source.proxies.proxy_for(task)
-        descs = {}
-        for host_fd in sorted(table.remote_fds()):
-            desc = source_proxy.guest_task.fd_table.get(
-                table.to_proxy(host_fd)
-            )
-            inode = getattr(desc, "inode", None)
-            if inode is None or inode.kind is not InodeKind.FILE:
-                self.recovery_log.append(
-                    ("rebalance-skip",
-                     f"pid {task.pid} holds non-file CVM fd {host_fd}")
-                )
-                return False
-            descs[host_fd] = desc
-        # Quiesce: the app's staged windows drain on the source and the
-        # source lane settles, so nothing in-flight can be lost mid-move.
-        if source.write_behind is not None:
-            self._wb_drain(task, reason="rebalance")
-        if source.binder_ring is not None:
-            self._binder_drain(task, reason="rebalance")
-        self.machine.clock.wait_for(source.cvm.lane, "anception:rebalance")
-        engine = self.machine.clock.faults
-        if engine is not None and engine.pool_rebalance_loss(call=task.name):
-            self.recovery_log.append(
-                ("rebalance-abort",
-                 f"pid {task.pid} {source.name}->{target.name}")
-            )
-            maybe_event(self.machine.clock, "recovery", "rebalance-abort",
-                        task=task, kernel=self.host_kernel.label,
-                        source=source.name, target=target.name)
-            return False
-        self._copy_app_tree(source, target, task)
-        source.proxies.remove_proxy(task)
-        target.proxies.create_proxy(task)
-        proxy = target.proxies.proxy_for(task)
-        from repro.kernel.vfs import O_CREAT, O_TRUNC
-
-        new_table = FdTranslationTable()
-        for host_fd in sorted(descs):
-            desc = descs[host_fd]
-            open_file = target.cvm.kernel.vfs.open(
-                desc.path, desc.flags & ~(O_CREAT | O_TRUNC),
-                proxy.guest_task.credentials,
-            )
-            open_file.offset = desc.offset
-            proxy_fd = proxy.guest_task.alloc_fd(open_file)
-            stub = task.fd_table.get(host_fd)
-            if isinstance(stub, RemoteFdStub):
-                stub.proxy_fd = proxy_fd
-            new_table.bind(host_fd, proxy_fd)
-        self.fd_tables[task.pid] = new_table
-        self._move_ledgers(source, target, task.pid)
-        if source.page_cache is not None:
-            # The source container no longer owns these files; drop the
-            # learned bindings and any cached pages under the app tree.
-            prefix = task.cwd.rstrip("/") + "/"
-            stale = sorted(
-                path for path in source.cache_paths
-                if path == task.cwd or path.startswith(prefix)
-            )
-            for path in stale:
-                source.page_cache.invalidate_ino(
-                    source.cache_paths.pop(path)
-                )
-        self.pool.move(task.pid, target)
-        self.recovery_log.append(
-            ("rebalance", f"pid {task.pid} {source.name}->{target.name}")
-        )
-        maybe_event(self.machine.clock, "recovery", "rebalance", task=task,
-                    kernel=self.host_kernel.label, source=source.name,
-                    target=target.name, fds=len(descs))
-        return True
-
-    def _copy_app_tree(self, source, target, task):
-        """Replicate the app's private data tree across containers.
-
-        Host-mediated trusted copy, like the enrollment-time install
-        copy: the host reads the source container's inodes directly and
-        writes them into the target — no channel traffic, no doorbells.
-        """
-        target.cvm.ensure_private_dir(task)
-        root = task.cwd
-        if not source.cvm.kernel.vfs.exists(root, self._root):
-            return 0
-        uid = task.credentials.uid
-        copied = 0
-
-        def _copy_dir(directory):
-            nonlocal copied
-            for name in sorted(
-                    source.cvm.kernel.vfs.listdir(directory, self._root)):
-                path = f"{directory}/{name}"
-                inode = source.cvm.kernel.vfs.resolve(
-                    path, self._root, follow_symlinks=False
-                )
-                if inode.kind is InodeKind.DIRECTORY:
-                    if not target.cvm.kernel.vfs.exists(path, self._root):
-                        target.cvm.kernel.vfs.mkdir(
-                            path, self._root, mode=0o700
-                        )
-                        target.cvm.kernel.vfs.chown(
-                            path, uid, uid, self._root
-                        )
-                    _copy_dir(path)
-                elif inode.kind is InodeKind.FILE and inode.data is not None:
-                    target.cvm.copy_in_file(path, bytes(inode.data), uid)
-                    copied += 1
-
-        _copy_dir(root)
-        return copied
-
-    @staticmethod
-    def _move_ledgers(source, target, pid):
-        """Carry one pid's deferred-errno ledger entries to its new lane."""
-        for src, dst in ((source.write_behind, target.write_behind),
-                         (source.binder_ring, target.binder_ring)):
-            if src is None or dst is None:
-                continue
-            for key in sorted(k for k in src.errors if k[0] == pid):
-                dst.errors.setdefault(key, src.errors.pop(key))
-
-    # ------------------------------------------------------------------
-    # warm migration (slice-based move, pending windows intact)
-    # ------------------------------------------------------------------
+        """Move an app to ``target`` idle: drain its async windows, then
+        :meth:`migrate` it (nothing staged travels with it)."""
+        lane = self._lane(task)
+        for windows in (lane.write_behind, lane.binder_ring):
+            if windows is not None:
+                windows.drain(task, "rebalance")
+        return self.migrate(task, target)
 
     def migrate(self, task, target):
         """Warm-move an enrolled app to ``target`` with its state intact.
 
-        Where :meth:`rebalance` quiesces first (the app's staged async
-        windows drain, then only fds + tree + ledgers move), ``migrate``
-        is the per-app cut of the world serializer:
+        ``migrate`` is the per-app cut of the world serializer:
         :func:`~repro.core.snapshot.app_slice` captures the app's whole
         lane-held delegation bundle — open remote fds with offsets, the
-        private data tree, *still-pending* write-behind window entries,
-        both deferred-errno ledgers, cached pages in LRU recency order —
-        and :func:`~repro.core.snapshot.apply_app_slice` re-materializes
-        it on the target.  The move is invisible to the app: staged
-        windows still drain at its next fence, warm reads stay warm.
+        private data tree with its permission modes, *still-pending*
+        write-behind window entries, both deferred-errno ledgers, cached
+        pages in LRU recency order — and
+        :func:`~repro.core.snapshot.apply_app_slice` re-materializes it
+        on the target.  The move is invisible to the app: staged windows
+        still drain at its next fence, warm reads stay warm.
 
+        ``target`` is a :class:`~repro.core.pool.CVMLane` or a cvm id.
         Pending binder transactions do drain first — their window
         entries hold live Transaction objects bound to source-container
         services and cannot be re-targeted.  Returns ``True`` on a
-        committed move; same-lane moves are a no-op ``False`` and apps
+        committed move; same-lane moves are a no-op ``False``.  Apps
         whose lane state cannot be sliced (non-file CVM fds, live SysV
         shm attachments) are skipped with a ``("migrate-skip", …)``
-        recovery-log entry.
+        recovery-log entry, and the ``pool.rebalance-loss`` fault site
+        aborts the move just before its commit point
+        (``("migrate-abort", …)``): the app simply stays put.
         """
         from repro.core.snapshot import (
             AppSliceError, app_slice, apply_app_slice,
@@ -1890,29 +1500,32 @@ class AnceptionLayer:
         if target is source:
             return False
         if source.binder_ring is not None:
-            self._binder_drain(task, reason="migrate")
-        self.machine.clock.wait_for(source.cvm.lane, "anception:migrate")
+            source.binder_ring.drain(task, "migrate")
+        clock = self.machine.clock
+        clock.wait_for(source.cvm.lane, "anception:migrate")
         try:
             slice_ = app_slice(self, task)
         except AppSliceError as exc:
             self.recovery_log.append(("migrate-skip", str(exc)))
-            maybe_event(self.machine.clock, "recovery", "migrate-skip",
+            maybe_event(clock, "recovery", "migrate-skip",
                         task=task, kernel=self.host_kernel.label,
                         source=source.name, target=target.name)
             return False
-        # Source teardown: the slice carries everything the app needs,
-        # so the source lane forgets the pid entirely — its window, its
-        # ledger entries, its proxy, its cached pages.
         pid = task.pid
-        if source.write_behind is not None:
-            source.write_behind.windows.pop(pid, None)
-            for key in sorted(k for k in source.write_behind.errors
-                              if k[0] == pid):
-                del source.write_behind.errors[key]
-        if source.binder_ring is not None:
-            for key in sorted(k for k in source.binder_ring.errors
-                              if k[0] == pid):
-                del source.binder_ring.errors[key]
+        move = f"pid {pid} {source.name}->{target.name}"
+        engine = clock.faults
+        if engine is not None and engine.pool_rebalance_loss(call=task.name):
+            self.recovery_log.append(("migrate-abort", move))
+            maybe_event(clock, "recovery", "migrate-abort", task=task,
+                        kernel=self.host_kernel.label, source=source.name,
+                        target=target.name)
+            return False
+        # Source teardown: the slice carries everything the app needs,
+        # so the source lane forgets the pid entirely — its windows, its
+        # ledger entries, its proxy, its cached pages.
+        for windows in (source.write_behind, source.binder_ring):
+            if windows is not None:
+                windows.forget(pid)
         source.proxies.remove_proxy(task)
         if source.page_cache is not None:
             prefix = task.cwd.rstrip("/") + "/"
@@ -1926,10 +1539,8 @@ class AnceptionLayer:
                 )
         apply_app_slice(self, task, slice_, target)
         self.pool.record_migration(pid, target)
-        self.recovery_log.append(
-            ("migrate", f"pid {pid} {source.name}->{target.name}")
-        )
-        maybe_event(self.machine.clock, "recovery", "migrate", task=task,
+        self.recovery_log.append(("migrate", move))
+        maybe_event(clock, "recovery", "migrate", task=task,
                     kernel=self.host_kernel.label, source=source.name,
                     target=target.name, fds=len(slice_["fds"]),
                     wb=len(slice_["wb_entries"]),
@@ -2001,14 +1612,24 @@ class AnceptionLayer:
                 self._recover_from(task, failure, attempt, "batch")
 
     # ------------------------------------------------------------------
-    # write-behind delegation (async windows, drains, fences)
+    # async windows: which calls defer, which calls fence (DESIGN §9)
     # ------------------------------------------------------------------
 
     _WB_DEFERRABLE = ("write", "pwrite64", "ftruncate")
     _WB_FENCE_SURFACING = ("fsync", "fdatasync", "read", "pread64", "readv",
                            "fence")
 
-    def _wb_accepts(self, task, name, args, kwargs, lane=None):
+    def _wb_writable(self, task, fd, lane):
+        """Whether ``fd`` is a pre-validated writable regular CVM file
+        that write-behind may stage against."""
+        if self.crypto_fs is not None or self._batch is not None:
+            return False
+        if lane.cvm.crashed or lane.cvm.compromised:
+            return False
+        desc = self._remote_file(task, fd, lane=lane)
+        return desc is not None and getattr(desc, "writable", False)
+
+    def _wb_accepts(self, task, name, args, kwargs, lane):
         """Whether this call may defer into a write-behind window.
 
         Only side-effect-only calls whose results are known up front
@@ -2016,18 +1637,9 @@ class AnceptionLayer:
         files qualify — so in an unfaulted run a deferred call cannot
         fail, and async results stay byte-identical to sync.
         """
-        if kwargs or name not in self._WB_DEFERRABLE:
-            return False
-        if self.crypto_fs is not None or self._batch is not None:
-            return False
-        if lane is None:
-            lane = self._lane(task)
-        if lane.cvm.crashed or lane.cvm.compromised:
-            return False
-        if not args or not isinstance(args[0], int):
-            return False
-        desc = self._remote_file(task, args[0], lane=lane)
-        if desc is None or not getattr(desc, "writable", False):
+        if kwargs or name not in self._WB_DEFERRABLE or not args \
+                or not isinstance(args[0], int) \
+                or not self._wb_writable(task, args[0], lane):
             return False
         if name == "write":
             return (len(args) == 2
@@ -2041,275 +1653,47 @@ class AnceptionLayer:
         return (len(args) == 2 and isinstance(args[1], int)
                 and args[1] >= 0)
 
-    def _wb_accepts_writev(self, task, fd, vec, lane=None):
-        """writev defers iff a plain write to the same fd would."""
-        if self.crypto_fs is not None or self._batch is not None:
-            return False
-        if lane is None:
-            lane = self._lane(task)
-        if lane.cvm.crashed or lane.cvm.compromised:
-            return False
-        desc = self._remote_file(task, fd, lane=lane)
-        if desc is None or not getattr(desc, "writable", False):
-            return False
-        return all(isinstance(entry, (bytes, bytearray, memoryview))
-                   for entry in vec)
-
-    def _wb_enqueue(self, task, name, args, lane=None):
-        """Stage one deferred call; return its optimistic result.
-
-        The host pays only the fixed marshal plus a page-rate staging
-        copy, then keeps running — posting, channel bytes, doorbells,
-        and CVM execution all land on the owning CVM's clock lane at
-        drain time.
-        """
-        if lane is None:
-            lane = self._lane(task)
-        wb = lane.write_behind
-        window = wb.window(task)
-        if len(window.entries) >= wb.depth:
-            # Bounded depth: a full window is the only point deferral
-            # blocks (drain waits for the lane before re-posting).
-            self._wb_drain(task, reason="window-full", lane=lane)
-        if name == "write":
-            payload = bytes(args[1])
-            args = (args[0], payload)
-            result = len(payload)
-        elif name == "pwrite64":
-            payload = bytes(args[1])
-            args = (args[0], payload, args[2])
-            result = len(payload)
+    def _wb_enqueue(self, task, name, args, lane):
+        """Stage one deferred call; return its optimistic result."""
+        windows = lane.write_behind
+        window = windows.reserve(task)
+        if name == "ftruncate":
+            args, result = (args[0], args[1]), 0
         else:
-            args = (args[0], args[1])
-            result = 0
-        table = self._fd_table(task)
-        call_args = table.translate_args(name, args)
+            payload = bytes(args[1])
+            args, result = (args[0], payload, *args[2:]), len(payload)
+        call_args = self._fd_table(task).translate_args(name, args)
         _call, size = marshal_call(name, call_args, {})
-        costs = self.machine.costs
-        clock = self.machine.clock
-        clock.advance(costs.marshal_fixed_ns, "anception:marshal")
-        clock.advance(
-            costs.wb_stage_page_ns * max(costs.chunks(size), 1),
-            "anception:wb-stage",
-        )
-        window.entries.append(
-            WriteBehindEntry(name, args, call_args, size, args[0], result)
-        )
-        wb.enqueued += 1
-        wb.max_depth_seen = max(wb.max_depth_seen, len(window.entries))
-        maybe_event(clock, "wb-submit", name, task=task,
-                    kernel=self.host_kernel.label,
-                    depth=len(window.entries), bytes=size)
-        return result
+        return windows.stage(task, window, name, args, call_args, args[0],
+                             result, size)
 
-    def _wb_drain(self, task, reason, lane=None):
-        """Ship one task's staged window through the ring on its lane."""
-        if lane is None:
-            lane = self._lane(task)
-        wb = lane.write_behind
-        window = wb.windows.get(task.pid)
-        if window is None or not window.entries:
-            return
-        entries, window.entries = window.entries, []
-        wb.drains += 1
-        clock = self.machine.clock
-        # The previous drain must retire before this one posts — the
-        # bounded in-flight depth is the backpressure contract.
-        clock.wait_for(lane.cvm.lane, "anception:wb-backpressure")
-        bus = clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
-            with clock.overlap(lane.cvm.lane):
-                self._run_window(lane, task, entries)
-            return
-        with wall_zone("wb.drain"), \
-                maybe_span(clock, "wb-drain", f"{reason}:{len(entries)}",
-                           task=task, kernel=self.host_kernel.label,
-                           batch=len(entries), reason=reason,
-                           **self._lane_tags(lane)) as span:
-            with clock.overlap(lane.cvm.lane):
-                self._run_window(lane, task, entries)
-            # The backpressure fence above settled the lane, so the
-            # post-window backlog is exactly the lane time this drain
-            # consumed — the overlap-ratio numerator for the analyzer.
-            span.set(lane_ns=clock.lane_backlog_ns(lane.cvm.lane))
+    def _wb_fence(self, lane, task, name, args=()):
+        """Drain and settle the owning lane; surface a deferred errno.
 
-    def _wb_settle(self, lane, task, name):
-        """Drain one lane's staged windows and settle its clock lane."""
-        wb = lane.write_behind
-        drained = 0
-        for window in wb.pending_windows():
-            drained += len(window.entries)
-            self._wb_drain(window.task, reason=f"fence:{name}", lane=lane)
-        waited = self.machine.clock.wait_for(
-            lane.cvm.lane, f"anception:wb-fence:{name}"
-        )
-        if drained or waited:
-            wb.fences += 1
-            maybe_event(self.machine.clock, "wb-fence", name, task=task,
-                        kernel=self.host_kernel.label, drained=drained,
-                        waited_ns=waited, **self._lane_tags(lane))
-
-    def _wb_fence(self, task, name, args=(), lane=None):
-        """Drain the owning lane, settle it, surface deferred errnos.
-
-        Fences are lane-scoped: only the fencing task's own CVM drains
-        and settles — sibling lanes' windows keep riding their own
-        clocks (the cross-lane barrier is :meth:`async_fence`).
         fsync/fdatasync/read-after-write (and the explicit ``fence``
-        veneer) additionally pop the ledger entry for their fd — the
-        pop is what makes a deferred errno surface *exactly once*;
-        ``close`` surfaces in :meth:`_split_close` after teardown.
+        veneer) pop the ledger entry for their fd; ``close`` surfaces
+        in :meth:`_split_close` after teardown.
         """
-        if lane is None:
-            lane = self._lane(task)
-        self._wb_settle(lane, task, name)
+        fd = None
         if name in self._WB_FENCE_SURFACING and args \
                 and isinstance(args[0], int):
-            deferred = lane.write_behind.take_error(task.pid, args[0])
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    f"deferred write-behind error on fd {args[0]}",
-                    call=name,
-                ) from deferred
+            fd = args[0]
+        lane.write_behind.fence(task, name, fd)
 
     def wb_fence(self, task, fd=None):
         """Explicit write-behind barrier (the libc ``fence`` veneer).
 
-        Drains every staged window, waits out the CVM lane, and — when
-        ``fd`` names a descriptor with a ledgered deferred error —
-        surfaces that errno exactly once.  No-op when write-behind is
-        off, so the same op-script runs in every mode.
+        Drains every staged window on the task's lane, waits out the
+        CVM lane, and — when ``fd`` names a descriptor with a ledgered
+        deferred error — surfaces that errno exactly once.  No-op when
+        write-behind is off, so the same op-script runs in every mode.
         """
-        if self._lane(task).write_behind is None:
-            return 0
-        self._wb_fence(task, "fence", (fd,) if fd is not None else ())
+        lane = self._lane(task)
+        if lane.write_behind is not None:
+            self._wb_fence(lane, task, "fence", (fd,))
         return 0
 
-    def _run_window(self, lane, task, entries):
-        """Forward one drained window behind one doorbell pair.
-
-        Runs inside the lane's overlap window.  Failures never raise to
-        the (long-gone) call site: they ledger per fd — first error
-        wins, later entries in the same window get ECANCELED — for the
-        next fence to surface.
-        """
-        engine = self.machine.clock.faults
-        attempt = 0
-        while True:
-            self._ensure_container(lane, "write-behind")
-            try:
-                pendings = []
-                failed = None
-                with lane.channel.bulk_copy():
-                    for entry in entries:
-                        if failed is None and engine is not None:
-                            injected = engine.wb_defer_errno(call=entry.name)
-                            if injected:
-                                failed = SyscallError(
-                                    injected, "injected fault: wb.error",
-                                    call=entry.name,
-                                )
-                                self._wb_record(task, entry.fd, failed)
-                                continue
-                        if failed is not None:
-                            self._wb_record(task, entry.fd, SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call=entry.name,
-                            ))
-                            continue
-                        pendings.append(self.submit(
-                            task, entry.name, entry.args, {},
-                            translated=entry.call_args, wire=entry.wire,
-                            lane=lane,
-                        ))
-                    if not pendings:
-                        return
-                    self.flush(task, reason=f"write-behind:{len(pendings)}",
-                               lane=lane)
-                if engine is not None and engine.wb_reap_loss():
-                    self._wb_reap_lost(task, pendings)
-                    return
-                for pending in pendings:
-                    try:
-                        self.complete(pending, lane=lane)
-                    except SyscallError as exc:
-                        self._wb_record(task, pending.args[0], exc)
-                return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    for index, entry in enumerate(entries):
-                        if index == 0:
-                            exc = SyscallError(
-                                errno.EIO,
-                                f"delegation failed: {failure}",
-                                call=entry.name,
-                            )
-                        else:
-                            exc = SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call=entry.name,
-                            )
-                        self._wb_record(task, entry.fd, exc)
-                    return
-                self._recover_from(task, failure, attempt, "write-behind")
-
-    def _wb_reap_lost(self, task, pendings):
-        """The ``wb.reap-loss`` site struck: the reaper missed a batch.
-
-        With recovery on, the completions already sit in the shared
-        pages, so the reaper times out and polls them back — it never
-        re-submits (a replayed write is not idempotent).  With recovery
-        off the results are simply gone: ledger EIO for the first
-        descriptor, ECANCELED for the rest.
-        """
-        clock = self.machine.clock
-        if self.recovery.enabled:
-            clock.advance(
-                self.recovery.signal_timeout_ns, "anception:wb-reap-poll"
-            )
-            self.recovery_log.append(
-                ("wb-reap-poll", f"{len(pendings)} completions")
-            )
-            maybe_event(clock, "recovery", "wb-reap-poll", task=task,
-                        kernel=self.host_kernel.label, batch=len(pendings))
-            for pending in pendings:
-                try:
-                    self.complete(pending)
-                except SyscallError as exc:
-                    self._wb_record(task, pending.args[0], exc)
-            return
-        for index, pending in enumerate(pendings):
-            if index == 0:
-                exc = SyscallError(
-                    errno.EIO, "write-behind completions lost",
-                    call=pending.name,
-                )
-            else:
-                exc = SyscallError(
-                    errno.ECANCELED,
-                    "aborted by earlier failure in window",
-                    call=pending.name,
-                )
-            self._wb_record(task, pending.args[0], exc)
-
-    def _wb_record(self, task, fd, exc):
-        """Ledger one deferred failure (first per (pid, fd) wins)."""
-        if self._lane(task).write_behind.record_error(task.pid, fd, exc):
-            maybe_event(self.machine.clock, "wb-error",
-                        getattr(exc, "call", None) or "write-behind",
-                        task=task, kernel=self.host_kernel.label, fd=fd,
-                        errno=exc.errno)
-
-    # ------------------------------------------------------------------
-    # batched binder delegation (oneway windows, drains, fences)
-    # ------------------------------------------------------------------
-
-    def _binder_accepts(self, task, transaction):
+    def _binder_accepts(self, lane, transaction):
         """Whether this transaction may defer into a binder window.
 
         Only oneway transactions to services that already exist in the
@@ -2318,117 +1702,34 @@ class AnceptionLayer:
         an unfaulted deferred delivery cannot fail (the driver swallows
         service-side errors for oneway in every mode too).
         """
-        if not transaction.is_oneway:
+        if not transaction.is_oneway or self._batch is not None:
             return False
-        if self._batch is not None:
-            return False
-        lane = self._lane(task)
         if lane.cvm.crashed or lane.cvm.compromised:
             return False
         return lane.cvm.android.has_service(transaction.target)
 
-    def _binder_enqueue(self, task, request, transaction):
+    def _binder_enqueue(self, task, request, transaction, lane):
         """Stage one oneway transaction; return ``None`` optimistically.
 
         The parcel is serialized now (snapshot semantics: a later
-        payload mutation must not reach the service), the host pays the
-        fixed marshal plus a page-rate staging copy, and keeps running —
-        the cross-VM fixed cost, channel bytes, doorbells, and CVM
-        execution all land on the ``cvm`` lane at drain time, shared
-        across the whole window.
+        payload mutation must not reach the service); the cross-VM
+        fixed cost is paid once per drained window.
         """
         from repro.android.binder import Transaction
 
-        lane = self._lane(task)
-        ring = lane.binder_ring
-        window = ring.window(task)
-        if len(window.entries) >= ring.depth:
-            self._binder_drain(task, reason="window-full")
+        windows = lane.binder_ring
+        window = windows.reserve(task)
         payload = transaction.payload
         if isinstance(payload, dict):
             payload = dict(payload)
         staged = Transaction(transaction.target, transaction.method,
                              payload, transaction.flags)
         proxy = lane.proxies.proxy_for(task)
-        proxy_binder_fd = self._ensure_proxy_binder(lane, proxy)
-        call_args = (proxy_binder_fd, request, staged)
+        call_args = (self._ensure_proxy_binder(lane, proxy), request, staged)
         _call, size = marshal_call("ioctl", call_args, {})
-        costs = self.machine.costs
-        clock = self.machine.clock
-        clock.advance(costs.marshal_fixed_ns, "anception:marshal")
-        clock.advance(
-            costs.wb_stage_page_ns * max(costs.chunks(size), 1),
-            "anception:binder-stage",
-        )
-        window.entries.append(BinderRingEntry(staged, call_args, size))
-        ring.enqueued += 1
-        ring.max_depth_seen = max(ring.max_depth_seen, len(window.entries))
-        maybe_event(clock, "binder-submit",
-                    f"{staged.target}.{staged.method}", task=task,
-                    kernel=self.host_kernel.label,
-                    depth=len(window.entries), bytes=size)
-        return None
-
-    def _binder_drain(self, task, reason):
-        """Ship one task's staged window through the ring on its lane."""
-        lane = self._lane(task)
-        ring = lane.binder_ring
-        window = ring.windows.get(task.pid)
-        if window is None or not window.entries:
-            return
-        entries, window.entries = window.entries, []
-        ring.drains += 1
-        clock = self.machine.clock
-        # The previous drain must retire before this one posts — the
-        # bounded in-flight depth is the backpressure contract.
-        clock.wait_for(lane.cvm.lane, "anception:binder-backpressure")
-        with wall_zone("binder.drain"), \
-                maybe_span(clock, "binder-drain",
-                           f"{reason}:{len(entries)}", task=task,
-                           kernel=self.host_kernel.label,
-                           batch=len(entries), reason=reason,
-                           **self._lane_tags(lane)) as span:
-            with clock.overlap(lane.cvm.lane):
-                self._run_binder_window(lane, task, entries)
-            span.set(lane_ns=clock.lane_backlog_ns(lane.cvm.lane))
-
-    def _binder_settle_lane(self, lane, task, name):
-        """Drain one lane's staged binder windows and settle its clock."""
-        ring = lane.binder_ring
-        drained = 0
-        for window in ring.pending_windows():
-            drained += len(window.entries)
-            self._binder_drain(window.task, reason=f"fence:{name}")
-        waited = self.machine.clock.wait_for(
-            lane.cvm.lane, f"anception:binder-fence:{name}"
-        )
-        if drained or waited:
-            ring.fences += 1
-            maybe_event(self.machine.clock, "binder-fence", name,
-                        task=task, kernel=self.host_kernel.label,
-                        drained=drained, waited_ns=waited,
-                        **self._lane_tags(lane))
-
-    def _binder_settle(self, task, name):
-        """Drain the task's own lane's binder windows and settle it."""
-        self._binder_settle_lane(self._lane(task), task, name)
-
-    def _binder_fence(self, task, target, name):
-        """Fence-on-reply: settle the lane, surface this target's errno.
-
-        Every staged oneway (to any target, preserving submission order
-        across services) delivers before the fencing transaction runs;
-        the ledger pop makes a deferred delivery error surface *exactly
-        once*, at the next reply-carrying call to that target.
-        """
-        self._binder_settle(task, name)
-        deferred = self._lane(task).binder_ring.take_error(task.pid, target)
-        if deferred is not None:
-            raise SyscallError(
-                deferred.errno,
-                f"deferred binder delivery error for {target!r}",
-                call="ioctl",
-            ) from deferred
+        return windows.stage(task, window, "ioctl", call_args, call_args,
+                             staged.target, None, size,
+                             label=f"{staged.target}.{staged.method}")
 
     def async_fence(self, task, fd=None):
         """Explicit async-delegation barrier (the libc ``fence`` veneer).
@@ -2441,167 +1742,16 @@ class AnceptionLayer:
         barrier names no target).  No-op when both async features are
         off, so the same program runs in every mode.
         """
-        own = self._lane(task)
         for lane in self.pool.lanes:
-            if lane.write_behind is not None:
-                self._wb_settle(lane, task, "fence")
-            if lane.binder_ring is not None:
-                self._binder_settle_lane(lane, task, "fence")
+            for windows in (lane.write_behind, lane.binder_ring):
+                if windows is not None:
+                    windows.settle(task, "fence")
+        own = self._lane(task)
         if own.write_behind is not None and fd is not None:
-            deferred = own.write_behind.take_error(task.pid, fd)
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    f"deferred write-behind error on fd {fd}",
-                    call="fence",
-                ) from deferred
+            own.write_behind.surface(task, fd, "fence")
         if own.binder_ring is not None:
-            deferred = own.binder_ring.take_any_error(task.pid)
-            if deferred is not None:
-                raise SyscallError(
-                    deferred.errno,
-                    "deferred binder delivery error",
-                    call="fence",
-                ) from deferred
+            own.binder_ring.surface(task, ANY_KEY, "fence")
         return 0
-
-    def _run_binder_window(self, lane, task, entries):
-        """Forward one drained binder window behind one doorbell pair.
-
-        Runs inside the lane's overlap window.  The fixed cross-VM
-        binder cost is paid once for the whole window — that is the
-        batching win — while per-entry parcel bytes still cross the
-        channel (above a page at the bulk-parcel page rate).  Failures
-        never raise to the (long-gone) call site: they ledger per
-        ``(pid, target)`` for the next fence to surface.
-        """
-        engine = self.machine.clock.faults
-        ring = lane.binder_ring
-        costs = self.machine.costs
-        clock = self.machine.clock
-        attempt = 0
-        while True:
-            self._ensure_container(lane, "binder-ring")
-            try:
-                live = list(entries)
-                if engine is not None and len(live) > 1 \
-                        and engine.binder_reorder(call="ioctl"):
-                    live[0], live[1] = live[1], live[0]
-                    ring.reordered += 1
-                pendings = []
-                with lane.channel.bulk_copy():
-                    clock.advance(
-                        costs.binder_cvm_fixed_ns, "anception:binder-window"
-                    )
-                    for entry in live:
-                        if engine is not None:
-                            injected = engine.binder_drop(call="ioctl")
-                            if injected:
-                                ring.dropped += 1
-                                self._binder_record(
-                                    task, entry.target, SyscallError(
-                                        injected,
-                                        "injected fault: binder.drop",
-                                        call="ioctl",
-                                    ))
-                                continue
-                        if entry.payload_bytes > PAGE_SIZE:
-                            ring.bulk_parcels += 1
-                            clock.advance(
-                                costs.binder_parcel_page_ns
-                                * costs.chunks(entry.payload_bytes),
-                                "anception:binder-parcel",
-                            )
-                        else:
-                            clock.advance(
-                                int(costs.binder_cvm_per_byte_ns
-                                    * entry.payload_bytes),
-                                "anception:binder-bytes",
-                            )
-                        pendings.append((entry, self.submit(
-                            task, "ioctl", entry.call_args, {},
-                            translated=entry.call_args, wire=entry.wire,
-                            ring_flags=RING_FLAG_BINDER, lane=lane,
-                        )))
-                    if not pendings:
-                        return
-                    self.flush(task, reason=f"binder:{len(pendings)}",
-                               lane=lane)
-                if engine is not None and engine.binder_reply_loss(
-                        call="ioctl"):
-                    self._binder_reap_lost(task, pendings)
-                    return
-                for entry, pending in pendings:
-                    try:
-                        self.complete(pending, lane=lane)
-                    except SyscallError as exc:
-                        self._binder_record(task, entry.target, exc)
-                return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    for index, entry in enumerate(entries):
-                        if index == 0:
-                            exc = SyscallError(
-                                errno.EIO,
-                                f"delegation failed: {failure}",
-                                call="ioctl",
-                            )
-                        else:
-                            exc = SyscallError(
-                                errno.ECANCELED,
-                                "aborted by earlier failure in window",
-                                call="ioctl",
-                            )
-                        self._binder_record(task, entry.target, exc)
-                    return
-                self._recover_from(task, failure, attempt, "binder-ring")
-
-    def _binder_reap_lost(self, task, pendings):
-        """The ``binder.reply-loss`` site struck: completions missed.
-
-        With recovery on, the completion descriptors already sit in the
-        shared pages — the reaper times out and polls them back (never
-        re-submits; a replayed transaction is not idempotent).  With
-        recovery off the outcomes are gone: ledger EIO for the first
-        descriptor, ECANCELED for the rest, per target.
-        """
-        clock = self.machine.clock
-        if self.recovery.enabled:
-            clock.advance(
-                self.recovery.signal_timeout_ns, "anception:binder-reap-poll"
-            )
-            self.recovery_log.append(
-                ("binder-reap-poll", f"{len(pendings)} completions")
-            )
-            maybe_event(clock, "recovery", "binder-reap-poll", task=task,
-                        kernel=self.host_kernel.label, batch=len(pendings))
-            for entry, pending in pendings:
-                try:
-                    self.complete(pending)
-                except SyscallError as exc:
-                    self._binder_record(task, entry.target, exc)
-            return
-        for index, (entry, _pending) in enumerate(pendings):
-            if index == 0:
-                exc = SyscallError(
-                    errno.EIO, "binder completions lost", call="ioctl",
-                )
-            else:
-                exc = SyscallError(
-                    errno.ECANCELED,
-                    "aborted by earlier failure in window",
-                    call="ioctl",
-                )
-            self._binder_record(task, entry.target, exc)
-
-    def _binder_record(self, task, target, exc):
-        """Ledger one deferred failure (first per (pid, target) wins)."""
-        if self._lane(task).binder_ring.record_error(task.pid, target, exc):
-            maybe_event(self.machine.clock, "binder-error", target,
-                        task=task, kernel=self.host_kernel.label,
-                        target=target, errno=exc.errno)
 
     # ------------------------------------------------------------------
     # kernel hooks

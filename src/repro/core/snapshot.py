@@ -67,9 +67,11 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 """Blob layout version.  2: ring descriptors, pending calls and staged
-window entries carry wire *sizes* instead of wire bytes; v1 blobs are
+window entries carry wire *sizes* instead of wire bytes.  3: both async
+window kinds are one ``repro.core.windows.AsyncWindows`` class with one
+entry type, and the pool drops its rebalance counter.  Older blobs are
 refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
@@ -504,18 +506,10 @@ def app_slice(layer, task):
                  "result": entry.result}
                 for entry in window.entries
             ]
-        wb_errors = {
-            key: lane.write_behind.errors[key]
-            for key in sorted(k for k in lane.write_behind.errors
-                              if k[0] == pid)
-        }
+        wb_errors = lane.write_behind.ledger_of(pid)
     binder_errors = {}
     if lane.binder_ring is not None:
-        binder_errors = {
-            key: lane.binder_ring.errors[key]
-            for key in sorted(k for k in lane.binder_ring.errors
-                              if k[0] == pid)
-        }
+        binder_errors = lane.binder_ring.ledger_of(pid)
 
     cache = []
     if lane.page_cache is not None:
@@ -623,13 +617,13 @@ def apply_app_slice(layer, task, slice_, target):
     layer.fd_tables[task.pid] = new_table
 
     if target.write_behind is not None:
-        from repro.core.anception import WriteBehindEntry
+        from repro.core.windows import WindowEntry
 
         window = target.write_behind.window(task)
         for entry in slice_["wb_entries"]:
             call_args = new_table.translate_args(entry["name"],
                                                  entry["args"])
-            window.entries.append(WriteBehindEntry(
+            window.entries.append(WindowEntry(
                 entry["name"], entry["args"], call_args,
                 wire_size(entry["name"], call_args, {}),
                 entry["args"][0], entry["result"],

@@ -208,44 +208,6 @@ class FaultEngine:
         """Evict the demanded pages just before a cache lookup?"""
         return self.check("cache.evict", call=call) is not None
 
-    def wb_defer_errno(self, call=None):
-        """Errno to ledger for a window entry at drain (None = healthy).
-
-        Write-behind drains run long after the call site returned its
-        optimistic result, so the effect is never a raise here: the
-        layer records the errno against the entry's fd and cancels the
-        rest of the window, and the next fence surfaces it.
-        """
-        rule = self.check("wb.error", call=call)
-        if rule is None:
-            return None
-        return rule.errno_value
-
-    def wb_reap_loss(self, call=None):
-        """Should the completion reaper miss this drained batch?"""
-        return self.check("wb.reap-loss", call=call) is not None
-
-    def binder_drop(self, call=None):
-        """Errno to ledger for a dropped batched oneway transaction.
-
-        Returns ``None`` when the transaction delivers.  Like
-        ``wb.error``, the sender is long gone when a drain runs, so the
-        effect is a per-``(pid, target)`` ledger entry surfaced at the
-        next fence, never a raise here.
-        """
-        rule = self.check("binder.drop", call=call)
-        if rule is None:
-            return None
-        return rule.errno_value
-
-    def binder_reorder(self, call=None):
-        """Swap the first two transactions of this drained window?"""
-        return self.check("binder.reorder", call=call) is not None
-
-    def binder_reply_loss(self, call=None):
-        """Should the reaper miss this binder window's completions?"""
-        return self.check("binder.reply-loss", call=call) is not None
-
     def pool_placement_flap(self, call=None):
         """Divert this enrollment's placement one lane over?
 
@@ -255,7 +217,8 @@ class FaultEngine:
         return self.check("pool.placement-flap", call=call) is not None
 
     def pool_rebalance_loss(self, call=None):
-        """Abort an in-progress app rebalance (app stays put)?"""
+        """Abort an app migration before its commit point (the app
+        stays on its source lane)?"""
         return self.check("pool.rebalance-loss", call=call) is not None
 
     def drop_irq(self):

@@ -20,7 +20,7 @@ from repro.android.binder import (
     Transaction,
     TransactionLog,
 )
-from repro.core.anception import BINDER_RING_DEPTH
+from repro.core.windows import WINDOW_DEPTH
 from repro.core.marshal import encoded_size
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
@@ -67,7 +67,7 @@ class TestOptIn:
     def test_depth_defaults_and_override(self):
         default = AnceptionWorld(binder_ring=True)
         assert default.anception.binder_ring.depth == min(
-            BINDER_RING_DEPTH, default.anception.channel.ring_depth
+            WINDOW_DEPTH, default.anception.channel.ring_depth
         )
         shallow = AnceptionWorld(binder_ring=True, binder_ring_depth=3)
         assert shallow.anception.binder_ring.depth == 3

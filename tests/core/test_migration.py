@@ -117,7 +117,7 @@ class TestMovedEqualsNeverMoved:
 
 
 class TestCounters:
-    def test_migrations_counted_separately_from_rebalances(self):
+    def test_migrations_counted(self):
         world, ctx = _boot()
         layer = world.anception
         task = ctx.libc.task
@@ -125,7 +125,7 @@ class TestCounters:
         layer.pool.migrate(task.pid, _other_lane(layer, source))
         stats = layer.pool.stats()
         assert stats["migrations"] == 1
-        assert stats["rebalances"] == 0
+        assert "rebalances" not in stats
 
     def test_same_lane_migration_is_a_noop(self):
         world, ctx = _boot()

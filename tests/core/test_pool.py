@@ -9,7 +9,8 @@ The tentpole guarantees under test:
   references behind (the satellite-1 regression);
 * a lane crash is *lane-scoped*: sibling lanes' apps keep running,
   differentially identical to a no-fault run;
-* rebalancing moves an idle app's proxy, fd table, and ledger state to
+* rebalancing (drain the app's windows, then migrate) moves an app's
+  proxy, fd table, data tree with its modes, and ledger state to
   another lane without changing a byte of what the app observes;
 * aggregated ``stats()`` keeps the classic single-CVM shape at
   ``cvms=1`` and sums across lanes otherwise.
@@ -288,7 +289,7 @@ class TestRebalance:
         assert world.anception.rebalance(mover.task, target) is True
         pool = world.anception.pool
         assert pool.lane_for(mover.task) is target
-        assert pool.rebalances == 1
+        assert pool.migrations == 1
 
         # The open fd still works: offset preserved, bytes identical.
         assert ctx.libc.pread(fd, 11, 0) == b"before-move"
@@ -328,7 +329,7 @@ class TestRebalance:
         world, _members, mover, source, _target = \
             self._world_with_two_lanes()
         assert world.anception.rebalance(mover.task, source) is False
-        assert world.anception.pool.rebalances == 0
+        assert world.anception.pool.migrations == 0
 
     def test_rebalance_accepts_int_target(self):
         world, _members, mover, _source, target = \
@@ -355,8 +356,32 @@ class TestRebalance:
         mover.ctx.libc.socket(AF_INET, SOCK_STREAM, 0)
         assert world.anception.rebalance(mover.task, target) is False
         assert pool.lane_for(mover.task) is not target
-        assert any(kind == "rebalance-skip"
+        assert any(kind == "migrate-skip"
                    for kind, _ in world.anception.recovery_log)
+
+    def test_rebalance_keeps_permission_modes(self):
+        from repro.kernel.process import Credentials
+
+        world, _members, mover, source, target = \
+            self._world_with_two_lanes()
+        ctx = mover.ctx
+        ctx.libc.mkdir(ctx.data_path("shared"), 0o755)
+        fd = ctx.libc.open(ctx.data_path("shared/readable.txt"),
+                           vfs.O_RDWR | vfs.O_CREAT, 0o644)
+        ctx.libc.write(fd, b"mode-bits")
+        ctx.libc.close(fd)
+        root = Credentials(0)
+
+        def modes(lane):
+            resolve = lane.cvm.kernel.vfs.resolve
+            return (resolve(ctx.data_path("shared"), root).mode & 0o7777,
+                    resolve(ctx.data_path("shared/readable.txt"),
+                            root).mode & 0o7777)
+
+        before = modes(source)
+        assert before == (0o755, 0o644)
+        assert world.anception.rebalance(mover.task, target) is True
+        assert modes(target) == before
 
     def test_rebalance_loss_fault_aborts_the_move(self):
         world, _members, mover, source, target = \
@@ -369,8 +394,8 @@ class TestRebalance:
             engine.disarm()
         pool = world.anception.pool
         assert pool.lane_for(mover.task) is source
-        assert pool.rebalances == 0
-        assert any(kind == "rebalance-abort"
+        assert pool.migrations == 0
+        assert any(kind == "migrate-abort"
                    for kind, _ in world.anception.recovery_log)
         # The app is unharmed and can still do I/O on its source lane.
         mover.ctx.libc.write_file(

@@ -101,15 +101,25 @@ class TestRejection:
     def test_v1_wire_byte_blob_is_refused(self, anception_world):
         # v1 blobs carried rendered wire bytes in ring descriptors,
         # pending calls and staged window entries; v2 carries sizes.
+        self._refused(anception_world, 1)
+
+    def test_v2_twin_window_blob_is_refused(self, anception_world):
+        # v2 blobs held the two window stacks as separate classes and a
+        # pool rebalance counter; v3 holds one AsyncWindows per kind.
+        self._refused(anception_world, 2)
+
+    @staticmethod
+    def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 2
-        blob = bytearray(anception_world.snapshot())
-        struct.pack_into("<H", blob, 8, 1)
+        assert SNAPSHOT_VERSION == 3
+        blob = bytearray(world.snapshot())
+        struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
-                               match="unsupported snapshot version 1 "
-                                     r"\(this build reads 2\)"):
+                               match=f"unsupported snapshot version "
+                                     f"{version} "
+                                     r"\(this build reads 3\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):

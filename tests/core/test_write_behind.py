@@ -13,7 +13,7 @@ import pytest
 
 from repro.android.app import App, AppManifest
 from repro.clock import SimClock
-from repro.core.anception import WRITE_BEHIND_DEPTH
+from repro.core.windows import WINDOW_DEPTH
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
@@ -131,10 +131,10 @@ class TestDeferral:
     def test_window_depth_bounds_staged_work(self, wb_world, wb_ctx):
         wb = wb_world.anception.write_behind
         fd = wb_ctx.libc.open(wb_ctx.data_path("deep.bin"), TRUNC)
-        for _ in range(WRITE_BEHIND_DEPTH + 1):
+        for _ in range(WINDOW_DEPTH + 1):
             wb_ctx.libc.write(fd, b"x" * 64)
         assert wb.drains == 1  # the full window drained once
-        assert wb.max_depth_seen == WRITE_BEHIND_DEPTH
+        assert wb.max_depth_seen == WINDOW_DEPTH
         assert wb.stats()["pending"] == 1
         wb_ctx.libc.close(fd)
 
