@@ -49,7 +49,7 @@ chaos-demo:
 	cmp chaos-a.json chaos-b.json && echo "chaos run is byte-identical across replays"
 
 profile-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.cli profile fileops --flame fileops-flame.txt
+	$(PYTHON) perfbench/run.py --workload fleet_async --seed 1 --seconds 2 --trace 1
 	PYTHONPATH=src $(PYTHON) -m repro.cli trace writeburst --out writeburst-trace.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli report writeburst-trace.json
 
@@ -60,4 +60,4 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	rm -rf .pytest_cache .hypothesis *.egg-info
 	rm -f chaos-a.json chaos-b.json chaos-trace.json table1-trace.json BENCH_e1.json
-	rm -f BENCH_engine.json BENCH_fleet.json fileops-flame.txt writeburst-trace.json
+	rm -f BENCH_engine.json BENCH_fleet.json writeburst-trace.json

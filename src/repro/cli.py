@@ -15,7 +15,6 @@ Usage (installed as the ``anception`` script)::
     anception trace table1        # whole-stack trace (Chrome/Perfetto JSON)
     anception metrics table1      # counters + histograms as JSON
     anception chaos fileops --seed 7 --faults PLAN   # fault injection
-    anception profile fileops     # wall-clock zone attribution table
     anception report t.json       # analyze an exported Chrome trace
     anception bench-engine        # BENCH_engine.json + regression gate
     anception all                 # everything, in order
@@ -486,34 +485,6 @@ def cmd_bench_smoke(args):
         )
 
 
-def cmd_profile(args):
-    """Wall-clock zone attribution for one workload (repro.obs.prof)."""
-    from repro.perf.engine_bench import profile_workload
-
-    workload = getattr(args, "workload", None) or "fileops"
-    try:
-        result = profile_workload(
-            workload, inner=getattr(args, "inner", None) or 4
-        )
-    except ValueError as exc:
-        sys.exit(f"anception: error: {exc}")
-    _emit(result["table"], getattr(args, "out", None))
-    flame = getattr(args, "flame", None)
-    if flame:
-        try:
-            with open(flame, "w") as handle:
-                handle.write(result["collapsed"])
-        except OSError as exc:
-            sys.exit(f"anception: error: cannot write {flame}: {exc}")
-        print(f"wrote {flame}")
-    print(
-        f"profile: workload={workload} syscalls={result['syscalls']}"
-        f" wall_ms={result['wall_ms']} sim_ms={result['sim_ms']}"
-        f" syscalls_per_sec={result['syscalls_per_sec']}",
-        file=sys.stderr,
-    )
-
-
 def cmd_report(args):
     """Offline analysis of an exported Chrome trace (repro.obs.report)."""
     from repro.obs.report import report_json
@@ -537,10 +508,11 @@ def cmd_bench_engine(args):
     """The CI engine-throughput artifact plus its regression gate.
 
     Emits ``BENCH_engine.json`` (simulated syscalls per wall-clock
-    second for the gated workloads, with profiler attribution shares)
-    and exits non-zero when any workload falls below the configured
-    ratio of the committed baseline.  ``--update-baseline`` rewrites
-    the baseline from this run instead of gating.
+    second for the gated workloads) and exits non-zero when any
+    workload falls below the configured ratio of the committed
+    baseline or its sim-time digest drifts from it; both kinds of
+    failure are reported before the exit.  ``--update-baseline``
+    rewrites the baseline from this run instead of gating.
     """
     from repro.perf.engine_bench import (
         DEFAULT_BASELINE_PATH,
@@ -582,17 +554,14 @@ def cmd_bench_engine(args):
     failures = check_regression(
         report, baseline, min_ratio=getattr(args, "gate_ratio", None)
     )
-    if failures:
-        sys.exit(
-            "anception: error: engine throughput regression: "
-            + "; ".join(failures)
-        )
     drifts = check_digests(report, baseline)
+    errors = []
+    if failures:
+        errors.append("engine throughput regression: " + "; ".join(failures))
     if drifts:
-        sys.exit(
-            "anception: error: engine sim-time digest drift: "
-            + "; ".join(drifts)
-        )
+        errors.append("engine sim-time digest drift: " + "; ".join(drifts))
+    if errors:
+        sys.exit("anception: error: " + "\n".join(errors))
     print("engine: throughput gate + sim digest check passed",
           file=sys.stderr)
 
@@ -755,7 +724,6 @@ COMMANDS = {
     "metrics": cmd_metrics,
     "chaos": cmd_chaos,
     "bench-smoke": cmd_bench_smoke,
-    "profile": cmd_profile,
     "report": cmd_report,
     "bench-engine": cmd_bench_engine,
     "bench-fleet": cmd_bench_fleet,
@@ -764,10 +732,10 @@ COMMANDS = {
 }
 
 WORKLOAD_COMMANDS = ("trace", "metrics", "chaos", "bench-smoke",
-                     "profile", "report", "bench-engine", "bench-fleet",
+                     "report", "bench-engine", "bench-fleet",
                      "snapshot", "resume")
-"""Workload/artifact commands skipped by ``all`` (trace/metrics/chaos/
-profile take a traced-workload positional, report takes a trace file,
+"""Workload/artifact commands skipped by ``all`` (trace/metrics/chaos
+take a traced-workload positional, report takes a trace file,
 snapshot takes a workload and resume a blob path;
 bench-smoke/bench-engine/bench-fleet write CI artifacts)."""
 
@@ -871,19 +839,6 @@ def main(argv=None):
         default=10,
         help="how many top-self-time spans the report command keeps "
              "(default: 10)",
-    )
-    parser.add_argument(
-        "--inner",
-        type=int,
-        default=None,
-        help="workload iterations per profiled pass for the profile "
-             "command (default: 4)",
-    )
-    parser.add_argument(
-        "--flame",
-        default=None,
-        help="also write the profile command's collapsed-stack "
-             "(flamegraph.pl compatible) output to this file",
     )
     parser.add_argument(
         "--baseline",

@@ -46,7 +46,6 @@ from repro.kernel.memory import MAP_ANONYMOUS
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
 from repro.obs.bus import maybe_event, maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -169,19 +168,17 @@ class AnceptionLayer:
     lines_of_code = ANCEPTION_LINES_OF_CODE
     marshaling_lines = ANCEPTION_MARSHALING_LINES
 
-    def __init__(self, machine, host_system, guest_mb=64, channel_pages=8,
+    def __init__(self, machine, host_system, guest_mb=64,
                  file_io_on_host=False, ring_depth=None, read_cache=False,
                  cache_pages=1024, async_delegation=False,
                  write_behind_depth=None, binder_ring=False,
-                 binder_ring_depth=None, cvms=1, placement=None,
-                 placement_seed=0):
+                 binder_ring_depth=None, cvms=1, placement=None):
         self.machine = machine
         self.host_kernel = machine.kernel
         self.host_system = host_system
         # Lane-construction config, consumed by _bind_lane at boot and
         # again on every lane-scoped reboot.
         self._guest_mb = guest_mb
-        self._channel_pages = channel_pages
         self._ring_depth = ring_depth
         self._read_cache = read_cache
         self._cache_pages = cache_pages
@@ -190,17 +187,13 @@ class AnceptionLayer:
         self._binder_ring_on = binder_ring
         self._binder_ring_depth = binder_ring_depth
         self._firewall_rule = None
-        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement,
-                            seed=placement_seed)
+        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
         per container VM, plus the deterministic placement map.  The
         single-CVM default is byte-identical to the pre-pool layer."""
         self.pool.layer = self
         for lane in self.pool.lanes:
             self._bind_lane(lane)
-        self.ring_batching = True
-        """Decompose writev/readv into per-iovec ring descriptors that
-        share one doorbell pair (the always-on batched path)."""
         self._batch = None
         """The open :class:`DelegationBatch` window, if any."""
         self.policy = RedirectionPolicy(
@@ -252,7 +245,7 @@ class AnceptionLayer:
             lane.cvm = ContainerVM(self.machine, self._guest_mb,
                                    cvm_id=lane.cvm_id)
         lane.channel = AnceptionChannel(
-            lane.cvm.hypervisor, self.machine.costs, self._channel_pages,
+            lane.cvm.hypervisor, self.machine.costs,
             ring_depth=self._ring_depth,
         )
         lane.proxies = ProxyManager(lane.cvm)
@@ -378,8 +371,10 @@ class AnceptionLayer:
             # both kernels and must be torn down on both
             return self._handle_shmdt(task, *args)
         if decision is Decision.REDIRECT:
-            if (self.ring_batching and name in ("writev", "readv")
-                    and len(args) >= 2 and isinstance(args[0], int)
+            # writev/readv decompose into per-iovec ring descriptors
+            # that share one doorbell pair.
+            if (name in ("writev", "readv") and len(args) >= 2
+                    and isinstance(args[0], int)
                     and table.is_remote(args[0])):
                 return self._redirect_vectored(task, name, args[0], args[1])
             return self._redirect(task, name, args, kwargs)
@@ -600,35 +595,34 @@ class AnceptionLayer:
         ``lane`` once and pass it down instead of paying the pool lookup
         per descriptor.
         """
-        with wall_zone("anception.submit"):
-            if lane is None:
-                lane = self._lane(task)
-            if not lane.channel.submit_ring.free_slots():
-                self.flush(task, reason="ring-full", lane=lane)
-            lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
-            table = self._fd_table(task)
-            call_args = translated if translated is not None else (
-                table.translate_args(name, args)
-            )
-            crypto_offset = None
-            clock = self.machine.clock
-            if wire is None:
-                if self.crypto_fs is not None and args:
-                    call_args, crypto_offset = self._crypto_outbound(
-                        task, name, args, call_args
-                    )
-                _call, wire = marshal_call(name, call_args, kwargs)
-                clock.advance(
-                    self.machine.costs.marshal_fixed_ns, "anception:marshal"
+        if lane is None:
+            lane = self._lane(task)
+        if not lane.channel.submit_ring.free_slots():
+            self.flush(task, reason="ring-full", lane=lane)
+        lane.proxies.proxy_for(task)  # not enrolled -> SimulationError
+        table = self._fd_table(task)
+        call_args = translated if translated is not None else (
+            table.translate_args(name, args)
+        )
+        crypto_offset = None
+        clock = self.machine.clock
+        if wire is None:
+            if self.crypto_fs is not None and args:
+                call_args, crypto_offset = self._crypto_outbound(
+                    task, name, args, call_args
                 )
+            _call, wire = marshal_call(name, call_args, kwargs)
             clock.advance(
-                self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
+                self.machine.costs.marshal_fixed_ns, "anception:marshal"
             )
-            seq = lane.channel.submit_ring.push(name, wire, flags=ring_flags)
-            pending = PendingCall(seq, task, name, args, call_args, kwargs,
-                                  crypto_offset)
-            lane.inflight.append(pending)
-            return pending
+        clock.advance(
+            self.machine.costs.proxy_dispatch_ns, "anception:proxy-post"
+        )
+        seq = lane.channel.submit_ring.push(name, wire, flags=ring_flags)
+        pending = PendingCall(seq, task, name, args, call_args, kwargs,
+                              crypto_offset)
+        lane.inflight.append(pending)
+        return pending
 
     def flush(self, task=None, reason=None, lane=None):
         """Ring the doorbells: one IRQ submits every in-flight call,
@@ -646,32 +640,31 @@ class AnceptionLayer:
                     else self.pool.default_lane)
         if not lane.inflight:
             return
-        with wall_zone("anception.flush"):
-            pendings, lane.inflight = lane.inflight, []
-            count = len(pendings)
-            if reason is None:
-                reason = pendings[0].name if count == 1 else f"batch:{count}"
-            elif count > 1:
-                reason = f"{reason}:{count}"
-            proxy_for = lane.proxies.proxy_for
-            work = {
-                p.seq: (proxy_for(p.task), p.name, p.call_args, p.kwargs)
-                for p in pendings
-            }
-            try:
-                self._signal_guest_reliably(lane, reason, pendings[0].task,
-                                            coalesced=count)
-                outcomes = lane.proxies.drain(lane.channel, work)
-                completions = len(lane.channel.complete_ring)
-                self._drain_completions(lane, pendings, outcomes)
-                if completions:
-                    self._signal_host_or_poll(lane, reason, pendings[0].task,
-                                              coalesced=completions)
-            except DelegationError:
-                # Whatever was mid-flight is unrecoverable state now; the
-                # retry loop re-submits from scratch against clean rings.
-                lane.channel.reset_rings()
-                raise
+        pendings, lane.inflight = lane.inflight, []
+        count = len(pendings)
+        if reason is None:
+            reason = pendings[0].name if count == 1 else f"batch:{count}"
+        elif count > 1:
+            reason = f"{reason}:{count}"
+        proxy_for = lane.proxies.proxy_for
+        work = {
+            p.seq: (proxy_for(p.task), p.name, p.call_args, p.kwargs)
+            for p in pendings
+        }
+        try:
+            self._signal_guest_reliably(lane, reason, pendings[0].task,
+                                        coalesced=count)
+            outcomes = lane.proxies.drain(lane.channel, work)
+            completions = len(lane.channel.complete_ring)
+            self._drain_completions(lane, pendings, outcomes)
+            if completions:
+                self._signal_host_or_poll(lane, reason, pendings[0].task,
+                                          coalesced=completions)
+        except DelegationError:
+            # Whatever was mid-flight is unrecoverable state now; the
+            # retry loop re-submits from scratch against clean rings.
+            lane.channel.reset_rings()
+            raise
 
     def _drain_completions(self, lane, pendings, outcomes):
         """Pop the completion ring dry and bind outcomes to pendings.
@@ -1263,6 +1256,16 @@ class AnceptionLayer:
                 task, "pread64", (fd, length, offset), {},
                 translated=(proxy_fd, length, offset),
             )
+            if not isinstance(data, bytes) or len(data) > length:
+                # The CVM is untrusted: an oversized or mistyped answer
+                # would be written past the new mapping with need_prot=0
+                # (an Iago overwrite).  Refuse it before mapping.
+                raise SyscallError(
+                    errno.EIO,
+                    f"CVM pread64 result does not fit a {length}-byte "
+                    f"mapping",
+                    call="mmap2",
+                )
             base = task.address_space.mmap(length, prot, flags, addr)
             if data:
                 task.address_space.write(base, data, need_prot=0)

@@ -25,9 +25,7 @@ instead of an indefinite hang.
 from __future__ import annotations
 
 from repro.errors import ChannelError, ChannelIntegrityError
-from repro.obs import prof as _prof
 from repro.obs.bus import maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -133,19 +131,15 @@ class AnceptionChannel:
             )
             full_ns = int(per_byte * PAGE_SIZE)
             tail_ns = int(per_byte * tail)
-        bus = clock.bus
-        if _prof._ACTIVE is None and clock.prof is None \
-                and clock._overlap_lane is None and not clock._trace_depth \
-                and (bus is None or not bus._depth):
+        if clock.quiet():
             # Nobody observes individual charges: bill the chunk loop's
             # exact integer sum in one add.
             clock._now_ns += (chunks * fixed_ns + full_chunks * full_ns
                               + (tail_ns if chunks > full_chunks else 0))
         else:
-            with wall_zone("channel.copy"), \
-                    maybe_span(clock, "channel-copy", direction,
-                               kernel="channel", direction=direction,
-                               bytes=size, chunks=max(1, costs.chunks(size))):
+            with maybe_span(clock, "channel-copy", direction,
+                            kernel="channel", direction=direction,
+                            bytes=size, chunks=max(1, costs.chunks(size))):
                 for index in range(chunks):
                     clock.advance(fixed_ns, "channel:chunk")
                     clock.advance(

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -81,43 +80,42 @@ class HostPageCache:
         overlapping the (EOF-clamped) range to be cached; anything less
         is a miss and the caller forwards the original call unchanged.
         """
-        with wall_zone("cache.lookup"):
-            size = self._sizes.get(ino)
-            if size is None:
-                return self._miss(record)
-            end = min(offset + length, size)
-            if offset >= size or length == 0:
-                # Reading at/past EOF is a well-defined empty read.
-                if record:
-                    self.hits += 1
-                return b""
-            first = offset // PAGE_SIZE
-            last = (end - 1) // PAGE_SIZE
-            if first == last:
-                # Single-page hit (the overwhelmingly common shape for
-                # 4 KB-and-under reads): slice the cached page directly
-                # instead of joining a one-element chunk list.
-                page = self._pages.get((ino, first))
-                if page is None:
-                    return self._miss(record)
-                self._pages.move_to_end((ino, first))
-                if record:
-                    self.hits += 1
-                lo = offset - first * PAGE_SIZE
-                return page[lo:lo + (end - offset)]
-            chunks = []
-            for index in range(first, last + 1):
-                page = self._pages.get((ino, index))
-                if page is None:
-                    return self._miss(record)
-                chunks.append(page)
-            for index in range(first, last + 1):
-                self._pages.move_to_end((ino, index))
+        size = self._sizes.get(ino)
+        if size is None:
+            return self._miss(record)
+        end = min(offset + length, size)
+        if offset >= size or length == 0:
+            # Reading at/past EOF is a well-defined empty read.
             if record:
                 self.hits += 1
-            blob = b"".join(chunks)
+            return b""
+        first = offset // PAGE_SIZE
+        last = (end - 1) // PAGE_SIZE
+        if first == last:
+            # Single-page hit (the overwhelmingly common shape for
+            # 4 KB-and-under reads): slice the cached page directly
+            # instead of joining a one-element chunk list.
+            page = self._pages.get((ino, first))
+            if page is None:
+                return self._miss(record)
+            self._pages.move_to_end((ino, first))
+            if record:
+                self.hits += 1
             lo = offset - first * PAGE_SIZE
-            return blob[lo:lo + (end - offset)]
+            return page[lo:lo + (end - offset)]
+        chunks = []
+        for index in range(first, last + 1):
+            page = self._pages.get((ino, index))
+            if page is None:
+                return self._miss(record)
+            chunks.append(page)
+        for index in range(first, last + 1):
+            self._pages.move_to_end((ino, index))
+        if record:
+            self.hits += 1
+        blob = b"".join(chunks)
+        lo = offset - first * PAGE_SIZE
+        return blob[lo:lo + (end - offset)]
 
     def peek(self, ino, offset, length):
         """`lookup` without touching the hit/miss counters."""
@@ -143,31 +141,30 @@ class HostPageCache:
         demand miss is already paid for, so it adds no simulated time.
         Returns ``(demand_pages, readahead_pages)`` newly cached.
         """
-        with wall_zone("cache.fill"):
-            size = len(data)
-            self._sizes[ino] = size
-            if offset >= size:
-                return 0, 0
-            end = min(offset + max(length, 1), size)
-            first = offset // PAGE_SIZE
-            demand_last = (end - 1) // PAGE_SIZE
-            ahead_pages = max(0, window_bytes // PAGE_SIZE)
-            last_page = (size - 1) // PAGE_SIZE
-            ahead_last = min(demand_last + ahead_pages, last_page)
-            demanded = ahead = 0
-            for index in range(first, ahead_last + 1):
-                fresh = self._store(ino, index,
-                                    data[index * PAGE_SIZE:
-                                         (index + 1) * PAGE_SIZE])
-                if not fresh:
-                    continue
-                if index <= demand_last:
-                    demanded += 1
-                else:
-                    ahead += 1
-            self.fill_pages += demanded
-            self.readahead_pages += ahead
-            return demanded, ahead
+        size = len(data)
+        self._sizes[ino] = size
+        if offset >= size:
+            return 0, 0
+        end = min(offset + max(length, 1), size)
+        first = offset // PAGE_SIZE
+        demand_last = (end - 1) // PAGE_SIZE
+        ahead_pages = max(0, window_bytes // PAGE_SIZE)
+        last_page = (size - 1) // PAGE_SIZE
+        ahead_last = min(demand_last + ahead_pages, last_page)
+        demanded = ahead = 0
+        for index in range(first, ahead_last + 1):
+            fresh = self._store(ino, index,
+                                data[index * PAGE_SIZE:
+                                     (index + 1) * PAGE_SIZE])
+            if not fresh:
+                continue
+            if index <= demand_last:
+                demanded += 1
+            else:
+                ahead += 1
+        self.fill_pages += demanded
+        self.readahead_pages += ahead
+        return demanded, ahead
 
     def _store(self, ino, index, content):
         key = (ino, index)

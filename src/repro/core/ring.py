@@ -11,7 +11,7 @@ pending descriptor and one guest->host doorbell completes them all.
 Design points:
 
 * **Bounded capacity** — a ring holds at most ``depth`` descriptors
-  (derived from ``channel_pages`` by :func:`default_ring_depth`); a
+  (derived from the channel's page count by :func:`default_ring_depth`); a
   full ring raises :class:`~repro.errors.RingFull` and the layer
   flushes before retrying (backpressure, never silent loss).
 * **Corrupt mark** — a descriptor slot tampered with *in the ring*
@@ -39,9 +39,7 @@ from repro.errors import (
     ChannelIntegrityError,
     RingFull,
 )
-from repro.obs import prof as _prof
 from repro.obs.bus import maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -185,13 +183,12 @@ class DelegationRing:
             if flags & RING_FLAG_BINDER:
                 self.binder_pushed += 1
         bus = clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
+        if bus is None or not bus._depth:
             self.channel._transfer(descriptor, self.direction)
         else:
-            with wall_zone("ring.push"), \
-                    maybe_span(clock, self.span_kind, f"{call}#{seq}",
-                               kernel="channel", ring=self.name, seq=seq,
-                               bytes=size, depth=len(self._queue) + 1):
+            with maybe_span(clock, self.span_kind, f"{call}#{seq}",
+                            kernel="channel", ring=self.name, seq=seq,
+                            bytes=size, depth=len(self._queue) + 1):
                 self.channel._transfer(descriptor, self.direction)
         self._queue.append(descriptor)
         self.pushed += 1

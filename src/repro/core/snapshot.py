@@ -67,12 +67,13 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 """Blob layout version.  2: ring descriptors, pending calls and staged
 window entries carry wire *sizes* instead of wire bytes.  3: both async
 window kinds are one ``repro.core.windows.AsyncWindows`` class with one
-entry type, and the pool drops its rebalance counter.  Older blobs are
-refused."""
+entry type, and the pool drops its rebalance counter.  4: the clock
+drops its wall-profiler slot and the Anception layer its channel-page
+and ring-batching fields.  Older blobs are refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -80,11 +81,6 @@ serialization substrate must not drift with the interpreter default."""
 
 SNAPSHOT_EXEMPT = {
     # name -> why this component is legitimately outside the audit.
-    "repro.obs.prof.WallProfiler": (
-        "wall-clock observability: host-side timing state is dropped at "
-        "snapshot time (SimClock.__getstate__) — profiling never moves "
-        "simulated time, so restore≡boot holds without it"
-    ),
     "repro.events.COMPROMISE_EVENTS": (
         "process-global simulation bookkeeping shared by every world in "
         "the process; deliberately outside the snapshot boundary"

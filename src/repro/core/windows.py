@@ -25,7 +25,6 @@ from functools import cached_property
 from repro.core.ring import RING_FLAG_BINDER, RING_FLAG_WRITE_BEHIND
 from repro.errors import DelegationError, SyscallError
 from repro.obs.bus import NULL_SPAN, maybe_event
-from repro.obs.prof import zone as wall_zone
 
 
 WINDOW_DEPTH = 32
@@ -272,7 +271,7 @@ class AsyncWindows:
             kernel=layer.host_kernel.label, batch=len(entries),
             reason=reason, **layer._lane_tags(self.lane),
         )
-        with wall_zone(f"{policy.prefix}.drain"), span:
+        with span:
             with clock.overlap(cvm_lane):
                 self._run(task, entries)
             # The backpressure wait settled the lane, so the backlog is

@@ -20,7 +20,6 @@ import random
 from repro.errors import SyscallError
 from repro.faults.plan import FaultPlan
 from repro.obs.bus import maybe_event
-from repro.obs.prof import zone as wall_zone
 
 
 def maybe_engine(clock):
@@ -67,20 +66,19 @@ class FaultEngine:
         PRNG draw for probability rules) is therefore a pure function of
         the eligible call stream.
         """
-        with wall_zone("faults.check"):
-            hit = None
-            for index, rule in self.plan.rules_for(site):
-                if not rule.matches(call=call, kernel=kernel):
-                    continue
-                self._occurrences[index] += 1
-                if hit is None and self._triggers(index, rule):
-                    self._fires[index] += 1
-                    hit = (index, rule)
-            if hit is None:
-                return None
-            index, rule = hit
-            self._record_fire(index, rule, call=call, kernel=kernel)
-            return rule
+        hit = None
+        for index, rule in self.plan.rules_for(site):
+            if not rule.matches(call=call, kernel=kernel):
+                continue
+            self._occurrences[index] += 1
+            if hit is None and self._triggers(index, rule):
+                self._fires[index] += 1
+                hit = (index, rule)
+        if hit is None:
+            return None
+        index, rule = hit
+        self._record_fire(index, rule, call=call, kernel=kernel)
+        return rule
 
     def _triggers(self, index, rule):
         n = self._occurrences[index]

@@ -49,9 +49,7 @@ from repro.kernel.memory import (
 from repro.kernel.net import Internet, NetworkStack
 from repro.kernel.process import Credentials, PidTable, Task, TaskState
 from repro.kernel.syscalls import CATALOGUE, classify
-from repro.obs import prof as _prof
 from repro.obs.bus import NULL_SPAN, maybe_event, maybe_span
-from repro.obs.prof import zone as wall_zone
 from repro.perf.costs import DEFAULT_COSTS, PAGE_SIZE
 
 
@@ -280,11 +278,11 @@ class Kernel:
         if not task.is_alive():
             raise SyscallError(errno.ESRCH, f"pid {task.pid} dead", call=name)
         bus = self.clock.bus
-        if _prof._ACTIVE is None and (bus is None or not bus._depth):
-            # No profiler, no capture: the zone/span scaffolding (and
-            # the syscall-class lookup feeding it) would record nothing.
+        if bus is None or not bus._depth:
+            # No capture: the span scaffolding (and the syscall-class
+            # lookup feeding it) would record nothing.
             return self._syscall_body(task, name, args, kwargs)
-        with wall_zone("syscall.dispatch"), maybe_span(
+        with maybe_span(
             self.clock, "syscall", name, task=task, kernel=self.label,
             sclass=classify(name).value,
         ) as span:
@@ -295,9 +293,7 @@ class Kernel:
         self.current = task
         try:
             clock = self.clock
-            if clock.prof is None and clock._overlap_lane is None \
-                    and not clock._trace_depth \
-                    and ((bus := clock.bus) is None or not bus._depth):
+            if clock.quiet():
                 clock._now_ns += self.costs.syscall_base_ns
             else:
                 clock.advance(self.costs.syscall_base_ns,

@@ -4,10 +4,12 @@ Everything else under ``repro.perf`` measures *simulated* latency — the
 paper's numbers, deterministic on any machine.  This harness measures
 the other thing the ROADMAP's "engine raw speed" item needs: how fast
 the single-threaded Python engine grinds through those simulated calls
-in real time, per workload, with the :class:`~repro.obs.prof.WallProfiler`
-attributing the hot zones.  The output is ``BENCH_engine.json``
+in real time, per workload.  The output is ``BENCH_engine.json``
 (``anception bench-engine``), gated in CI against a committed baseline:
-a >20% drop in syscalls/sec on any workload fails the build.
+a >20% drop in syscalls/sec, or any drift in the simulated digest, on
+any workload fails the build.  Per-layer wall attribution is not this
+harness's job: ``python3 perfbench/run.py --trace 1`` splits wall and
+sim time by the paper's layers and reconciles the two.
 
 Methodology (per workload):
 
@@ -18,13 +20,9 @@ Methodology (per workload):
 2. count the stream once under the TraceBus (simulated syscalls and
    nanoseconds per iteration are deterministic, so one census serves
    every timed pass);
-3. time ``runs`` passes of ``inner`` iterations with observation and
-   profiling dormant; the *best* pass (least scheduler noise) is the
-   throughput numerator;
-4. one more profiled pass yields the per-zone attribution shares and
-   the profiler's own overhead ratio (enabled wall / disabled wall —
-   the "near-zero when disabled" claim is the *disabled* sites' cost,
-   pinned separately by ``tests/obs/test_prof.py``).
+3. time ``runs`` passes of ``inner`` iterations with observation
+   dormant; the *best* pass (least scheduler noise) is the throughput
+   numerator.
 
 Wall-clock numbers are machine-dependent by nature, which is why the
 regression gate compares *ratios* against the committed baseline (and
@@ -42,16 +40,16 @@ import time
 from repro.errors import SyscallError
 from repro.obs.bus import TraceBus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import WallProfiler
 from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world, run_traced
 
 
-SCHEMA = "anception-bench-engine/1"
+SCHEMA = "anception-bench-engine/2"
+"""Report layout id.  2: no profiled pass and no ``profiler`` block."""
 
 ENGINE_WORKLOADS = ("fileops", "batchio", "writeburst")
 """The gated workloads: mixed metadata/file I/O, ring-batched vectored
 I/O, and the write-behind burst — together they cover every delegation
-hot path the profiler instruments."""
+hot path."""
 
 DEFAULT_INNER = 8
 """Workload iterations per timed pass (amortizes timer granularity)."""
@@ -67,9 +65,6 @@ DEFAULT_BASELINE_PATH = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "..", "..", "..", "benchmarks", "BENCH_engine_baseline.json",
 ))
-
-_ATTRIBUTION_ZONES = 12
-"""Zones kept in the per-workload attribution (sorted by self share)."""
 
 
 def _reset_workload(ctx, workload):
@@ -128,13 +123,6 @@ def bench_workload(workload, inner=DEFAULT_INNER, runs=DEFAULT_RUNS,
         _iterate(ctx, workload, inner)
         walls.append(timer() - t0)
     best = min(walls)
-    prof = WallProfiler(timer=timer)
-    with prof.activate(world.clock):
-        t0 = timer()
-        _iterate(ctx, workload, inner)
-        profiled_wall = timer() - t0
-    attribution = prof.attribution()
-    attribution["zones"] = attribution["zones"][:_ATTRIBUTION_ZONES]
     rate = (syscalls * inner) / (best / 1e9) if best else 0.0
     return {
         "syscalls_per_iter": syscalls,
@@ -147,12 +135,6 @@ def bench_workload(workload, inner=DEFAULT_INNER, runs=DEFAULT_RUNS,
         },
         "syscalls_per_sec": round(rate, 1),
         "sim_time_ratio": round((sim_ns * inner) / best, 3) if best else 0.0,
-        "profiler": {
-            "overhead_ratio": (
-                round(profiled_wall / best, 3) if best else 0.0
-            ),
-            "attribution": attribution,
-        },
     }
 
 
@@ -208,34 +190,6 @@ def run_engine_bench(workloads=ENGINE_WORKLOADS, inner=None, runs=None):
             workload: bench_workload(workload, inner=inner, runs=runs)
             for workload in workloads
         },
-    }
-
-
-def profile_workload(workload, inner=4, timer=time.perf_counter_ns):
-    """One profiled run for ``anception profile``: table + flamegraph."""
-    if workload not in TRACE_WORKLOADS:
-        known = ", ".join(sorted(TRACE_WORKLOADS))
-        raise ValueError(f"unknown workload {workload!r} (known: {known})")
-    world, ctx = boot_obs_world(read_cache=True, write_behind=True)
-    _iterate(ctx, workload, 1)  # warm-up
-    syscalls, sim_ns = _census(world, ctx, workload)
-    prof = WallProfiler(timer=timer)
-    with prof.activate(world.clock):
-        t0 = timer()
-        _iterate(ctx, workload, inner)
-        wall_ns = timer() - t0
-    return {
-        "workload": workload,
-        "inner": inner,
-        "syscalls": syscalls * inner,
-        "wall_ms": round(wall_ns / 1e6, 3),
-        "sim_ms": round(sim_ns * inner / 1e6, 3),
-        "syscalls_per_sec": round(
-            (syscalls * inner) / (wall_ns / 1e9), 1
-        ) if wall_ns else 0.0,
-        "table": prof.format_table(),
-        "collapsed": prof.collapsed(),
-        "attribution": prof.attribution(),
     }
 
 

@@ -108,18 +108,23 @@ class TestRejection:
         # pool rebalance counter; v3 holds one AsyncWindows per kind.
         self._refused(anception_world, 2)
 
+    def test_v3_profiler_slot_blob_is_refused(self, anception_world):
+        # v3 blobs carried the clock's wall-profiler slot and the layer's
+        # channel-page and ring-batching fields; v4 drops all three.
+        self._refused(anception_world, 3)
+
     @staticmethod
     def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         blob = bytearray(world.snapshot())
         struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
                                match=f"unsupported snapshot version "
                                      f"{version} "
-                                     r"\(this build reads 3\)"):
+                                     r"\(this build reads 4\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):

@@ -1,5 +1,7 @@
 """Split-execution semantics: fork, exec, mmap, msync, UID-change kill."""
 
+import errno
+
 import pytest
 
 from repro.errors import ProcessKilled, SyscallError
@@ -125,6 +127,40 @@ class TestMmapSplit:
         content = enrolled_ctx.task.address_space.read(base, 100,
                                                        need_prot=0)
         assert content == b"M" * 100
+
+    @pytest.mark.parametrize("lie", [b"X" * (3 * PAGE_SIZE), 12345],
+                             ids=["oversize", "not-bytes"])
+    def test_lying_pread_result_is_refused_before_mapping(
+            self, monkeypatch, enrolled_ctx, lie):
+        # The CVM answers the split mmap's pread64 with something that
+        # does not fit the mapping.  Writing it would run past the new
+        # mapping into the app's adjacent anonymous memory.
+        from repro.core.proxy import ProxyManager
+
+        libc = enrolled_ctx.libc
+        space = enrolled_ctx.task.address_space
+        neighbour = libc.mmap(2 * PAGE_SIZE, PROT_READ | PROT_WRITE,
+                              MAP_ANONYMOUS)
+        space.write(neighbour, b"S" * (2 * PAGE_SIZE))
+        path = enrolled_ctx.data_path("small.bin")
+        libc.write_file(path, b"F" * PAGE_SIZE)
+        fd = libc.open(path, vfs.O_RDONLY)
+        mapped_before = set(space.pages)
+        honest = ProxyManager.execute
+
+        def lying_execute(self, proxy, name, args, kwargs):
+            if name == "pread64":
+                return lie
+            return honest(self, proxy, name, args, kwargs)
+
+        monkeypatch.setattr(ProxyManager, "execute", lying_execute)
+        with pytest.raises(SyscallError) as excinfo:
+            libc.mmap(PAGE_SIZE, PROT_READ, 0, fd=fd, offset=0)
+        assert excinfo.value.errno == errno.EIO
+        assert set(space.pages) == mapped_before
+        assert space.read(neighbour, 2 * PAGE_SIZE, need_prot=0) == (
+            b"S" * (2 * PAGE_SIZE)
+        )
 
     def test_msync_pushes_content_to_guest(self, anception_world,
                                            enrolled_ctx):
