@@ -52,6 +52,9 @@ from repro.perf.costs import PAGE_SIZE
 ANCEPTION_LINES_OF_CODE = 5_219
 ANCEPTION_MARSHALING_LINES = 2_438
 
+_FD_RESULT_CALLS = ("open", "socket", "accept", "pipe")
+"""Delegated calls whose CVM result is a new fd (``pipe``: a pair)."""
+
 marshal_call_into = marshal_call
 """Former name of the synchronous-submit encoder, kept only because
 the benchmark's layer map (``perfbench/layers.py``) still wraps it."""
@@ -805,20 +808,43 @@ class AnceptionLayer:
 
     def _adopt_result(self, task, name, args, result):
         """Map resource-allocating results back into the host fd space."""
-        table = self._fd_table(task)
-        if name in ("open", "socket", "accept") and isinstance(result, int):
+        if name in _FD_RESULT_CALLS:
             label = args[0] if name == "open" and args else name
-            host_fd = task.alloc_fd(RemoteFdStub(result, str(label)))
-            table.bind(host_fd, result)
-            return host_fd
-        if name == "pipe" and isinstance(result, tuple):
-            host_fds = []
-            for proxy_fd in result:
-                host_fd = task.alloc_fd(RemoteFdStub(proxy_fd, "pipe"))
-                table.bind(host_fd, proxy_fd)
-                host_fds.append(host_fd)
-            return tuple(host_fds)
+            return self._adopt_fd(task, name, result, str(label))
         return result
+
+    def _adopt_fd(self, task, name, result, label, newfd=None):
+        """Bind the fd a CVM call returned (``pipe``: its pair) to host fds.
+
+        The fd contract: each fd is a non-negative ``int`` the app's
+        table does not already bind, and a pipe answers with a 2-tuple
+        of two distinct such fds.  Anything else is refused with EIO
+        before a host fd is allocated or ``newfd`` (dup2's target) is
+        closed.  Returns the host fd, or the pair's tuple for ``pipe``.
+        """
+        table = self._fd_table(task)
+        pair = name == "pipe"
+        proxy_fds = result if pair and type(result) is tuple else (result,)
+        if (pair and (len(proxy_fds) != 2 or proxy_fds[0] == proxy_fds[1])) \
+                or not all(type(fd) is int and fd >= 0
+                           and not table.binds_proxy(fd)
+                           for fd in proxy_fds):
+            raise SyscallError(
+                errno.EIO, f"CVM answered {name} with fd {result!r}",
+                call=name,
+            )
+        if newfd is not None:
+            if newfd in task.fd_table:
+                self._split_close(task, newfd)
+            task.install_fd(newfd, RemoteFdStub(result, label))
+            table.bind(newfd, result)
+            return newfd
+        host_fds = []
+        for proxy_fd in proxy_fds:
+            host_fd = task.alloc_fd(RemoteFdStub(proxy_fd, label))
+            table.bind(host_fd, proxy_fd)
+            host_fds.append(host_fd)
+        return tuple(host_fds) if pair else host_fds[0]
 
     # ------------------------------------------------------------------
     # host-side page cache for delegated reads
@@ -1097,9 +1123,7 @@ class AnceptionLayer:
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(proxy_fd,)
             )
-            host_fd = task.alloc_fd(RemoteFdStub(new_proxy_fd, "dup"))
-            table.bind(host_fd, new_proxy_fd)
-            return host_fd
+            return self._adopt_fd(task, "dup", new_proxy_fd, "dup")
         return self.host_kernel.execute_native(task, "dup", (fd,), {})
 
     def _split_dup2(self, task, fd, newfd):
@@ -1109,11 +1133,8 @@ class AnceptionLayer:
             new_proxy_fd = self._redirect(
                 task, "dup", (fd,), {}, translated=(proxy_fd,)
             )
-            if newfd in task.fd_table:
-                self._split_close(task, newfd)
-            task.install_fd(newfd, RemoteFdStub(new_proxy_fd, "dup2"))
-            table.bind(newfd, new_proxy_fd)
-            return newfd
+            return self._adopt_fd(task, "dup2", new_proxy_fd, "dup2",
+                                  newfd=newfd)
         return self.host_kernel.execute_native(task, "dup2", (fd, newfd), {})
 
     def _split_fcntl(self, task, fd, cmd, arg=0):
@@ -1124,10 +1145,8 @@ class AnceptionLayer:
                 task, "fcntl", (fd, cmd, arg), {},
                 translated=(proxy_fd, cmd, arg),
             )
-            if cmd == 0 and isinstance(result, int):  # F_DUPFD
-                host_fd = task.alloc_fd(RemoteFdStub(result, "fcntl-dup"))
-                table.bind(host_fd, result)
-                return host_fd
+            if cmd == 0:  # F_DUPFD
+                return self._adopt_fd(task, "fcntl", result, "fcntl-dup")
             return result
         return self.host_kernel.execute_native(
             task, "fcntl", (fd, cmd, arg), {}

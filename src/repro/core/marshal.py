@@ -116,6 +116,10 @@ class FdTranslationTable:
     def is_remote(self, host_fd):
         return host_fd in self._host_to_proxy
 
+    def binds_proxy(self, proxy_fd):
+        """True when some host fd already maps to ``proxy_fd``."""
+        return proxy_fd in self._host_to_proxy.values()
+
     def __contains__(self, host_fd):
         return host_fd in self._host_to_proxy
 

@@ -154,6 +154,10 @@ class AsyncWindows:
     __snapshot__ = "auto"
 
     def __init__(self, policy, depth, layer, lane):
+        if depth < 1:
+            raise ValueError(
+                f"{policy.noun} window needs a depth of at least 1, "
+                f"got {depth}")
         self.policy = policy
         self.depth = depth
         self.layer = layer

@@ -184,9 +184,9 @@ def boot_obs_world(ring_depth=None, read_cache=False, cache_pages=1024,
                    cvms=1, placement=None):
     """Boot an AnceptionWorld with an enrolled app; returns (world, ctx).
 
-    The shared setup for :func:`run_traced` and the engine-throughput
-    harness in :mod:`repro.perf.engine_bench`, which times workload
-    bodies against a pre-booted world (boot cost excluded).
+    The shared setup for :func:`run_traced`, the ``snapshot``/``resume``
+    commands and tests that drive workload bodies against a pre-booted
+    world.
     """
     world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
                            cache_pages=cache_pages,

@@ -1,20 +1,20 @@
 """Fleet-scaling benchmark: aggregate throughput across the CVM pool.
 
-``anception bench-fleet`` runs the deterministic fleet workload (see
+:func:`run_fleet_bench` runs the deterministic fleet workload (see
 :mod:`repro.workloads.fleet`) against pools of 1/2/4/8 container VMs
-and emits ``BENCH_fleet.json``: the aggregate *simulated* syscalls per
-simulated second at each pool size.  Unlike the wall-clock engine
-bench, every number here is deterministic — pool scaling comes from the
-overlap lanes of the simulated clock (each CVM drains its write-behind
-and binder windows on its own cursor), so the curve reproduces exactly
-on any machine and CI can gate on it without a committed baseline.
+and reports the aggregate *simulated* syscalls per simulated second at
+each pool size.  Every number is deterministic — pool scaling comes
+from the overlap lanes of the simulated clock (each CVM drains its
+write-behind and binder windows on its own cursor), so the curve
+reproduces exactly on any machine and ``benchmarks/test_e14_fleet_bench.py``
+gates it without a committed baseline.
 
-Three gates, all from one report:
+Three gates, all from one report (:func:`check_fleet`):
 
 * **monotone curve** — aggregate throughput must not drop as CVMs are
   added (1 -> 2 -> 4 -> 8);
 * **scaling floor** — 4 CVMs must deliver at least
-  :data:`DEFAULT_MIN_SPEEDUP` (1.5x) the single-CVM throughput;
+  :data:`MIN_SPEEDUP` (1.5x) the single-CVM throughput;
 * **crash isolation** — killing 1 of 4 CVMs mid-fleet must fail *only*
   the victim lane's apps; every sibling lane's apps keep issuing
   delegated calls that return correct bytes.
@@ -26,44 +26,42 @@ runs, never *what* it computes).
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import SyscallError
 from repro.kernel import vfs as _vfs
 from repro.workloads.fleet import FleetApp, run_fleet
 from repro.world import AnceptionWorld
 
 
-SCHEMA = "anception-bench-fleet/1"
-
 DEFAULT_CURVE = (1, 2, 4, 8)
 """Pool sizes swept for the scaling curve."""
 
 DEFAULT_APPS = 48
-"""Fleet population per sweep point (env: ``ANCEPTION_FLEET_APPS``)."""
+"""Fleet population per sweep point."""
 
 DEFAULT_ROUNDS = 8
-"""Rounds of per-app traffic (env: ``ANCEPTION_FLEET_ROUNDS``)."""
+"""Rounds of per-app traffic."""
 
-DEFAULT_MIN_SPEEDUP = 1.5
+MIN_SPEEDUP = 1.5
 """Gate: 4-CVM aggregate throughput must reach this multiple of the
-single-CVM number (env: ``ANCEPTION_FLEET_MIN_SPEEDUP``)."""
+single-CVM number."""
+
+PLACEMENT = "by-uid"
+"""Placement policy of every swept pool."""
 
 
-def _boot(cvms, placement):
+def _boot(cvms):
     # Window depths sized so the fleet's per-round bursts fill (and
     # therefore drain) mid-round: drains charged to each lane's overlap
     # cursor while the host keeps feeding the other lanes is where the
     # multi-CVM scaling comes from.  Fence-time drains would serialize.
-    return AnceptionWorld(cvms=cvms, placement=placement, read_cache=True,
+    return AnceptionWorld(cvms=cvms, placement=PLACEMENT, read_cache=True,
                           async_delegation=True, write_behind_depth=8,
                           binder_ring=True, binder_ring_depth=4)
 
 
-def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS,
-                    placement="by-uid"):
+def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS):
     """One sweep point: the fleet against a ``cvms``-lane pool."""
-    world = _boot(cvms, placement)
+    world = _boot(cvms)
     sim0 = world.clock.now_ns
     summary = run_fleet(world, apps=apps, rounds=rounds)
     sim_ns = world.clock.now_ns - sim0
@@ -81,7 +79,7 @@ def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS,
     }
 
 
-def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
+def crash_isolation_probe(apps=DEFAULT_APPS):
     """Kill 1 of 4 CVMs mid-fleet; report the blast radius.
 
     Launches the fleet on a 4-lane pool, panics the busiest lane's
@@ -89,7 +87,7 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     victim-lane apps must fail with a well-defined errno, sibling-lane
     apps must read back exactly what they wrote.
     """
-    world = _boot(4, placement)
+    world = _boot(4)
     members = []
     for index in range(apps):
         running = world.install_and_launch(FleetApp(index))
@@ -101,7 +99,7 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     victim = pool.lanes[max(range(len(loads)), key=lambda i: loads[i])]
     victim_pids = set(pool.pids_on(victim))
     try:
-        victim.cvm.kernel.panic("bench-fleet isolation probe")
+        victim.cvm.kernel.panic("fleet isolation probe")
     except Exception:
         pass
 
@@ -139,42 +137,30 @@ def crash_isolation_probe(apps=DEFAULT_APPS, placement="by-uid"):
     }
 
 
-def run_fleet_bench(curve=DEFAULT_CURVE, apps=None, rounds=None,
-                    placement="by-uid"):
-    """The full ``BENCH_fleet.json`` document."""
-    apps = apps or int(os.environ.get("ANCEPTION_FLEET_APPS", DEFAULT_APPS))
-    rounds = rounds or int(os.environ.get("ANCEPTION_FLEET_ROUNDS",
-                                          DEFAULT_ROUNDS))
+def run_fleet_bench(curve=DEFAULT_CURVE, apps=DEFAULT_APPS,
+                    rounds=DEFAULT_ROUNDS):
+    """The scaling curve plus the crash-isolation probe, as one report."""
     points = [
-        bench_pool_size(cvms, apps=apps, rounds=rounds, placement=placement)
+        bench_pool_size(cvms, apps=apps, rounds=rounds)
         for cvms in curve
     ]
     base = points[0]["syscalls_per_sim_sec"] or 1.0
     for point in points:
         point["speedup"] = round(point["syscalls_per_sim_sec"] / base, 3)
     return {
-        "schema": SCHEMA,
         "config": {
             "apps": apps,
             "rounds": rounds,
-            "placement": placement,
+            "placement": PLACEMENT,
             "curve": list(curve),
         },
         "scaling": points,
-        "isolation": crash_isolation_probe(apps=apps, placement=placement),
+        "isolation": crash_isolation_probe(apps=apps),
     }
 
 
-def min_speedup():
-    """The configured 4-CVM scaling floor (env-overridable)."""
-    return float(os.environ.get("ANCEPTION_FLEET_MIN_SPEEDUP",
-                                DEFAULT_MIN_SPEEDUP))
-
-
-def check_fleet(report, floor=None):
+def check_fleet(report):
     """Failure strings for every gate the report misses."""
-    if floor is None:
-        floor = min_speedup()
     failures = []
     points = report.get("scaling", [])
 
@@ -198,9 +184,10 @@ def check_fleet(report, floor=None):
     by_cvms = {point["cvms"]: point for point in points}
     if 1 in by_cvms and 4 in by_cvms:
         speedup = by_cvms[4]["speedup"]
-        if speedup < floor:
+        if speedup < MIN_SPEEDUP:
             failures.append(
-                f"4-CVM speedup {speedup:.2f}x below the {floor:.2f}x floor"
+                f"4-CVM speedup {speedup:.2f}x below the "
+                f"{MIN_SPEEDUP:.2f}x floor"
             )
 
     isolation = report.get("isolation", {})

@@ -172,6 +172,80 @@ class TestMmapSplit:
         assert result == 0
 
 
+_CREATE = vfs.O_RDWR | vfs.O_CREAT
+
+# (id, CVM call to lie on, lie given the proxy fd the app already holds,
+# app-side call given its context, its held fd and a second open fd)
+_FD_LIES = [
+    ("open-negative", "open", lambda held: -7,
+     lambda ctx, fd, other: ctx.libc.open(ctx.data_path("new.bin"), _CREATE)),
+    ("open-bool", "open", lambda held: True,
+     lambda ctx, fd, other: ctx.libc.open(ctx.data_path("new.bin"), _CREATE)),
+    ("open-str", "open", lambda held: "3",
+     lambda ctx, fd, other: ctx.libc.open(ctx.data_path("new.bin"), _CREATE)),
+    ("open-aliased", "open", lambda held: held,
+     lambda ctx, fd, other: ctx.libc.open(ctx.data_path("new.bin"), _CREATE)),
+    ("socket-aliased", "socket", lambda held: held,
+     lambda ctx, fd, other: ctx.libc.socket()),
+    ("pipe-list", "pipe", lambda held: [90, 91],
+     lambda ctx, fd, other: ctx.libc.pipe()),
+    ("pipe-triple", "pipe", lambda held: (90, 91, 92),
+     lambda ctx, fd, other: ctx.libc.pipe()),
+    ("pipe-same-twice", "pipe", lambda held: (90, 90),
+     lambda ctx, fd, other: ctx.libc.pipe()),
+    ("pipe-aliased", "pipe", lambda held: (90, held),
+     lambda ctx, fd, other: ctx.libc.pipe()),
+    ("pipe-negative", "pipe", lambda held: (90, -1),
+     lambda ctx, fd, other: ctx.libc.pipe()),
+    ("dup-aliased", "dup", lambda held: held,
+     lambda ctx, fd, other: ctx.libc.syscall("dup", fd)),
+    ("dup-negative", "dup", lambda held: -1,
+     lambda ctx, fd, other: ctx.libc.syscall("dup", fd)),
+    ("dup2-aliased", "dup", lambda held: held,
+     lambda ctx, fd, other: ctx.libc.syscall("dup2", fd, other)),
+    ("fcntl-dupfd-str", "fcntl", lambda held: "5",
+     lambda ctx, fd, other: ctx.libc.syscall("fcntl", fd, 0, 0)),
+    ("fcntl-dupfd-aliased", "fcntl", lambda held: held,
+     lambda ctx, fd, other: ctx.libc.syscall("fcntl", fd, 0, 0)),
+]
+
+
+class TestFdContract:
+    @pytest.mark.parametrize("cvm_call, lie, call",
+                             [case[1:] for case in _FD_LIES],
+                             ids=[case[0] for case in _FD_LIES])
+    def test_lying_fd_result_is_refused_before_binding(
+            self, monkeypatch, anception_world, enrolled_ctx, cvm_call,
+            lie, call):
+        # The CVM answers a fd-allocating call with something that is
+        # not a fresh fd: a bad type, a negative number, the wrong pipe
+        # shape, or a proxy fd the app already holds (binding it would
+        # alias two host fds onto one CVM file).
+        from repro.core.proxy import ProxyManager
+
+        libc = enrolled_ctx.libc
+        task = enrolled_ctx.task
+        table = anception_world.anception.fd_tables[task.pid]
+        fd = libc.open(enrolled_ctx.data_path("held.bin"), _CREATE)
+        other = libc.open(enrolled_ctx.data_path("other.bin"), _CREATE)
+        host_before = dict(task.fd_table)
+        remote_before = {h: table.to_proxy(h) for h in table.remote_fds()}
+        honest = ProxyManager.execute
+
+        def lying_execute(self, proxy, name, args, kwargs):
+            if name == cvm_call:
+                return lie(remote_before[fd])
+            return honest(self, proxy, name, args, kwargs)
+
+        monkeypatch.setattr(ProxyManager, "execute", lying_execute)
+        with pytest.raises(SyscallError) as excinfo:
+            call(enrolled_ctx, fd, other)
+        assert excinfo.value.errno == errno.EIO
+        assert dict(task.fd_table) == host_before
+        assert {h: table.to_proxy(h) for h in table.remote_fds()} \
+            == remote_before
+
+
 class TestUidChangeKill:
     def test_setuid_change_kills_app(self, anception_world, enrolled_ctx):
         task = enrolled_ctx.task

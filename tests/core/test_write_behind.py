@@ -13,7 +13,7 @@ import pytest
 
 from repro.android.app import App, AppManifest
 from repro.clock import SimClock
-from repro.core.windows import WINDOW_DEPTH
+from repro.core.windows import BINDER, WINDOW_DEPTH, WRITE_BEHIND, AsyncWindows
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
@@ -137,6 +137,13 @@ class TestDeferral:
         assert wb.max_depth_seen == WINDOW_DEPTH
         assert wb.stats()["pending"] == 1
         wb_ctx.libc.close(fd)
+
+    @pytest.mark.parametrize("policy", [WRITE_BEHIND, BINDER],
+                             ids=["wb", "binder"])
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_window_depth_below_one_is_refused(self, policy, depth):
+        with pytest.raises(ValueError, match="depth of at least 1"):
+            AsyncWindows(policy, depth, layer=None, lane=None)
 
     def test_descriptor_flags_mark_deferred_pushes(self, wb_world, wb_ctx):
         fd = wb_ctx.libc.open(wb_ctx.data_path("flag.bin"), TRUNC)

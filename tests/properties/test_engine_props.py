@@ -21,8 +21,8 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SyscallError
 from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
-from repro.perf.engine_bench import _iterate
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
 
 
@@ -46,6 +46,32 @@ BINDER_DIGESTS = {
 }
 """The batched-binder window path: the same digest, booted with the
 binder ring on as well as write-behind."""
+
+
+def _reset_workload(ctx, workload):
+    """Undo the one non-idempotent effect so iterations replay cleanly.
+
+    ``fileops`` leaves ``chaos-dir/moved.bin`` behind and its ``mkdir``
+    would fail with EEXIST on replay; everything else opens with
+    O_TRUNC and is idempotent.  The cleanup calls are themselves part
+    of the digested stream.
+    """
+    if workload == "fileops":
+        try:
+            ctx.libc.unlink(ctx.data_path("chaos-dir/moved.bin"))
+        except SyscallError:
+            pass
+        try:
+            ctx.libc.rmdir(ctx.data_path("chaos-dir"))
+        except SyscallError:
+            pass
+
+
+def _iterate(ctx, workload, n):
+    fn = TRACE_WORKLOADS[workload]
+    for _ in range(n):
+        _reset_workload(ctx, workload)
+        fn(ctx)
 
 
 def _digest(workload, cvms, binder_ring=False):

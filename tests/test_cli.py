@@ -38,8 +38,7 @@ class TestCli:
             "table1", "antutu", "sunspider", "sqlite", "memory",
             "vuln-study", "attack-surface", "loc", "tcb", "profiledroid",
             "interactive", "alternatives", "trace", "metrics", "chaos",
-            "bench-smoke", "report", "bench-engine",
-            "bench-fleet", "snapshot", "resume",
+            "report", "snapshot", "resume",
         }
 
     def test_trace_command_chrome(self, capsys):
@@ -104,35 +103,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["report", "/nonexistent/trace.json"])
 
-    def test_bench_engine_gate_failure_exits(self, capsys, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
-        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
-        baseline = tmp_path / "base.json"
-        import json
-
-        baseline.write_text(json.dumps({
-            "schema": "anception-bench-engine/1",
-            "workloads": {"fileops": {"syscalls_per_sec": 1e12}},
-        }))
+    @pytest.mark.parametrize("flag, value", [
+        ("--cvms", "-2"),
+        ("--cvms", "0"),
+        ("--ring-depth", "0"),
+        ("--cache-pages", "0"),
+        ("--write-behind-depth", "0"),
+        ("--binder-ring-depth", "-1"),
+        ("--cvms", "two"),
+    ])
+    def test_out_of_range_numeric_flag_is_a_usage_error(self, capsys, flag,
+                                                         value):
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench-engine", "--baseline", str(baseline)])
-        assert "fell below" in str(excinfo.value)
-
-    def test_bench_engine_update_baseline(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("ANCEPTION_ENGINE_INNER", "1")
-        monkeypatch.setenv("ANCEPTION_ENGINE_RUNS", "1")
-        baseline = tmp_path / "base.json"
-        assert main(["bench-engine", "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        import json
-
-        written = json.loads(baseline.read_text())
-        assert written["schema"] == "anception-bench-engine/2"
-        assert set(written["workloads"]) == {
-            "fileops", "batchio", "writeburst",
-        }
+            main(["trace", "write4k", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            f"anception: error: argument {flag}: "
+        )
 
     def test_alternatives_command(self, capsys):
         assert main(["alternatives"]) == 0
