@@ -55,6 +55,12 @@ ANCEPTION_MARSHALING_LINES = 2_438
 _FD_RESULT_CALLS = ("open", "socket", "accept", "pipe")
 """Delegated calls whose CVM result is a new fd (``pipe``: a pair)."""
 
+_READ_CALLS = ("read", "pread64")
+_WRITE_CALLS = ("write", "pwrite64")
+"""Delegated calls whose CVM result is held to the byte-count contract;
+the writes are also the calls an explicit batch window queues, since
+their results are known up front."""
+
 marshal_call_into = marshal_call
 """Former name of the synchronous-submit encoder, kept only because
 the benchmark's layer map (``perfbench/layers.py``) still wraps it."""
@@ -84,83 +90,6 @@ class PendingCall:
     def __repr__(self):
         state = "pending" if self.outcome is None else self.outcome[0]
         return f"PendingCall({self.name}#{self.seq}, {state})"
-
-
-class DelegationBatch:
-    """An open batch window: deferrable calls queue, exit flushes.
-
-    Only ``write``/``pwrite64`` with no keyword arguments defer (their
-    results are byte counts known up front); consecutive plain writes
-    to the same fd merge into a single descriptor.  Everything else —
-    reads, opens, another task's calls — flushes the queue first and
-    runs synchronously, preserving program order.
-    """
-
-    __snapshot__ = "auto"
-
-    DEFERRABLE = ("write", "pwrite64")
-
-    def __init__(self, layer, task):
-        self.layer = layer
-        self.task = task
-        self._entries = []
-        self.calls_enqueued = 0
-        self.calls_coalesced = 0
-
-    def accepts(self, task, name, kwargs):
-        return (
-            task is self.task
-            and not kwargs
-            and name in self.DEFERRABLE
-            and self.layer.crypto_fs is None
-        )
-
-    def add(self, task, name, args):
-        """Queue one deferrable call, returning its optimistic result."""
-        self.calls_enqueued += 1
-        if name == "write":
-            fd, data = args[0], bytes(args[1])
-            last = self._entries[-1] if self._entries else None
-            if last is not None and last[0] == "write" and last[1] == fd:
-                last[2].append(data)
-                self.calls_coalesced += 1
-            else:
-                self._entries.append(["write", fd, [data]])
-            return len(data)
-        fd, data, offset = args[0], bytes(args[1]), args[2]
-        self._entries.append(("pwrite64", (fd, data, offset)))
-        return len(data)
-
-    def flush(self):
-        """Forward everything queued behind one doorbell pair.
-
-        A queued write that fails raises here (or at window exit) with
-        its real errno — the price of the optimistic early return.
-        """
-        if not self._entries:
-            return
-        entries, self._entries = self._entries, []
-        calls = []
-        for entry in entries:
-            if entry[0] == "write":
-                calls.append(("write", (entry[1], b"".join(entry[2]))))
-            else:
-                calls.append((entry[0], entry[1]))
-        self.layer._run_batch(self.task, calls)
-
-    def __enter__(self):
-        if self.layer._batch is not None:
-            raise SimulationError("delegation batch windows do not nest")
-        self.layer._batch = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.layer._batch = None
-        if exc_type is None:
-            self.flush()
-        else:
-            self._entries = []
-        return False
 
 
 class AnceptionLayer:
@@ -198,7 +127,7 @@ class AnceptionLayer:
         for lane in self.pool.lanes:
             self._bind_lane(lane)
         self._batch = None
-        """The open :class:`DelegationBatch` window, if any."""
+        """``(task, queued entries)`` while :meth:`run_batch` runs."""
         self.policy = RedirectionPolicy(
             host_system.ui_service_names(), file_io_on_host=file_io_on_host
         )
@@ -392,25 +321,21 @@ class AnceptionLayer:
 
         The transport underneath is the submission/completion ring:
         :meth:`submit` queues the marshaled call, :meth:`flush` rings
-        the doorbells, :meth:`complete` resolves the result.  Outside a
-        batch window the three run back-to-back, so a lone redirected
-        call still costs exactly one IRQ and one completion hypercall —
-        the classic shape.  Inside an open :meth:`batch` window,
+        the doorbells, :meth:`complete` resolves the result — run
+        back-to-back by :meth:`_forward`, so a lone redirected call
+        still costs exactly one IRQ and one completion hypercall, the
+        classic shape.  While :meth:`run_batch` holds a window open,
         deferrable calls are queued instead and the whole window rides
         one doorbell pair.
-
-        Delegation-layer failures (channel corruption, a dead proxy, a
-        crashed container) are retried under :attr:`recovery`; when
-        recovery is disabled or exhausted they surface as EIO — a
-        redirected call returns a result or a well-defined errno, never
-        a hang and never a simulator exception.
         """
         if self._batch is not None:
-            if self._batch.accepts(task, name, kwargs):
-                return self._batch.add(task, name, args)
+            batch_task, entries = self._batch
+            if task is batch_task and not kwargs \
+                    and name in _WRITE_CALLS and self.crypto_fs is None:
+                return self._batch_add(entries, name, args)
             # Anything the window can't defer forces the queued writes
             # out first, preserving program order.
-            self._batch.flush()
+            self._flush_batch()
         lane = self._lane(task)
         if lane.write_behind is not None:
             if translated is None and self._wb_accepts(task, name, args,
@@ -426,43 +351,8 @@ class AnceptionLayer:
             served = self._cache_lookup(task, name, args, lane=lane)
             if served is not None:
                 return served[0]
-        return self._redirect_sync(task, name, args, kwargs, translated,
-                                   lane=lane)
-
-    def _redirect_sync(self, task, name, args, kwargs, translated=None,
-                       lane=None):
-        """One call, one doorbell pair, synchronous result."""
-        if lane is None:
-            lane = self._lane(task)
-        attempt = 0
-        clock = self.machine.clock
-        while True:
-            self._ensure_container(lane, name)
-            try:
-                bus = clock.bus
-                if bus is None or not bus._depth:
-                    # Dormant bus: skip the span (and its f-string label)
-                    # entirely — the window body is identical either way.
-                    pending = self.submit(task, name, args, kwargs,
-                                          translated, lane=lane)
-                    self.flush(task, reason=name, lane=lane)
-                    return self.complete(pending, lane=lane)
-                with maybe_span(clock, "proxy",
-                                f"forward:{name}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect"):
-                    pending = self.submit(task, name, args, kwargs,
-                                          translated, lane=lane)
-                    self.flush(task, reason=name, lane=lane)
-                    return self.complete(pending, lane=lane)
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    raise SyscallError(
-                        errno.EIO, f"delegation failed: {failure}", call=name
-                    ) from failure
-                self._recover_from(task, failure, attempt, name)
+        return self._forward(task, lane, name,
+                             ((name, args, kwargs, translated),))[0]
 
     def _redirect_vectored(self, task, name, fd, vec):
         """writev/readv: every iovec entry rides one doorbell pair.
@@ -473,6 +363,8 @@ class AnceptionLayer:
         behind a single IRQ and completed behind a single hypercall,
         so doorbell count stays flat in the vector length.
         """
+        if self._batch is not None:
+            self._flush_batch()  # queued batch writes go first
         vec = tuple(vec)
         sub_call = "write" if name == "writev" else "read"
         if not vec:
@@ -493,41 +385,42 @@ class AnceptionLayer:
             served = self._cache_readv(task, fd, vec)
             if served is not None:
                 return served
+        calls = [(sub_call, (fd, entry), {}, None) for entry in vec]
         if self.crypto_fs is not None:
             # The crypto transform keys off the proxy's live file offset,
             # which only advances as each entry executes — serialize.
-            results = [
-                self._redirect_sync(task, sub_call, (fd, entry), {})
-                for entry in vec
-            ]
-            return sum(results) if name == "writev" else results
-        attempt = 0
+            results = [self._forward(task, lane, sub_call, (call,))[0]
+                       for call in calls]
+        else:
+            results = self._forward(task, lane, name, calls,
+                                    batch=len(calls))
+        return sum(results) if name == "writev" else results
+
+    def _forward(self, task, lane, name, calls, label=None, **span_args):
+        """The one synchronous round trip, retried under :attr:`recovery`.
+
+        Submits ``calls`` — ``(call, args, kwargs, translated)`` tuples —
+        behind one doorbell pair and returns their results in order.
+        ``name`` tags the flush, the recovery log and the EIO; the trace
+        span is ``forward:<label or name>``.  Delegation-layer failures
+        (channel corruption, a dead proxy, a crashed container) are
+        retried; when recovery is disabled or exhausted they surface as
+        EIO — a redirected call returns a result or a well-defined
+        errno, never a hang and never a simulator exception.
+        """
         clock = self.machine.clock
+        attempt = 0
         while True:
             self._ensure_container(lane, name)
             try:
                 bus = clock.bus
                 if bus is None or not bus._depth:
-                    pendings = [
-                        self.submit(task, sub_call, (fd, entry), {},
-                                    lane=lane)
-                        for entry in vec
-                    ]
-                    self.flush(task, reason=name, lane=lane)
-                    results = [self.complete(p, lane=lane) for p in pendings]
-                    return sum(results) if name == "writev" else results
-                with maybe_span(clock, "proxy",
-                                f"forward:{name}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect", batch=len(vec)):
-                    pendings = [
-                        self.submit(task, sub_call, (fd, entry), {},
-                                    lane=lane)
-                        for entry in vec
-                    ]
-                    self.flush(task, reason=name, lane=lane)
-                    results = [self.complete(p, lane=lane) for p in pendings]
-                return sum(results) if name == "writev" else results
+                    # Dormant bus: no span, no f-string label.
+                    return self._round_trip(task, lane, name, calls)
+                with bus.span("proxy", f"forward:{label or name}",
+                              task=task, kernel=self.host_kernel.label,
+                              decision="redirect", **span_args):
+                    return self._round_trip(task, lane, name, calls)
             except DelegationError as failure:
                 attempt += 1
                 if not self.recovery.enabled \
@@ -536,6 +429,18 @@ class AnceptionLayer:
                         errno.EIO, f"delegation failed: {failure}", call=name
                     ) from failure
                 self._recover_from(task, failure, attempt, name)
+
+    def _round_trip(self, task, lane, name, calls):
+        """One :meth:`_forward` attempt: submit, flush, complete."""
+        pendings = []
+        for call, args, kwargs, translated in calls:
+            pendings.append(self.submit(task, call, args, kwargs,
+                                        translated, lane=lane))
+        self.flush(task, reason=name, lane=lane)
+        results = []
+        for pending in pendings:
+            results.append(self.complete(pending, lane=lane))
+        return results
 
     def _ensure_container(self, lane, name):
         """Refuse (or repair) forwarding into a dead/compromised CVM."""
@@ -697,16 +602,11 @@ class AnceptionLayer:
             pending.outcome = outcome
 
     def complete(self, pending, lane=None):
-        """Resolve one pending call to its result (or typed errno).
-
-        An unflushed pending flushes its window first, so callers can
-        always ``complete()`` in any order after batched submission.
-        Window-shaped callers pass the already-resolved ``lane``.
-        """
+        """Resolve one flushed pending call to its result (or typed
+        errno).  Window-shaped callers pass the already-resolved
+        ``lane``."""
         if lane is None:
             lane = self._lane(pending.task)
-        if pending.outcome is None:
-            self.flush(pending.task, lane=lane)
         kind, value = pending.outcome
         if kind == "err":
             raise value
@@ -807,11 +707,30 @@ class AnceptionLayer:
         return getattr(desc, "offset", 0)
 
     def _adopt_result(self, task, name, args, result):
-        """Map resource-allocating results back into the host fd space."""
+        """Hold a CVM result to its call's contract, mapping
+        resource-allocating results back into the host fd space.
+
+        The byte-count contract: ``read``/``pread64`` answer ``bytes``
+        no longer than the requested count; ``write``/``pwrite64``
+        answer an ``int`` (not a bool) in ``[0, len(data)]``.  Anything
+        else is refused with EIO before the page cache or the crypto
+        transform sees it.
+        """
         if name in _FD_RESULT_CALLS:
             label = args[0] if name == "open" and args else name
             return self._adopt_fd(task, name, result, str(label))
-        return result
+        if name in _READ_CALLS:
+            if type(result) is bytes and len(result) <= args[1]:
+                return result
+        elif name in _WRITE_CALLS:
+            if type(result) is int and 0 <= result <= len(args[1]):
+                return result
+        else:
+            return result
+        detail = (f"{len(result)} bytes"
+                  if isinstance(result, (bytes, bytearray)) else repr(result))
+        raise SyscallError(errno.EIO, f"CVM answered {name} with {detail}",
+                           call=name)
 
     def _adopt_fd(self, task, name, result, label, newfd=None):
         """Bind the fd a CVM call returned (``pipe``: its pair) to host fds.
@@ -1270,21 +1189,14 @@ class AnceptionLayer:
         if fd is not None and table.is_remote(fd):
             self._lane(task).proxies.proxy_for(task)
             proxy_fd = table.to_proxy(fd)
-            # Proxy-side mapping with forced read faults (pinning).
+            # Proxy-side mapping with forced read faults (pinning).  The
+            # byte-count contract refuses an answer longer than the
+            # mapping, which would otherwise be written past it with
+            # need_prot=0 (an Iago overwrite).
             data = self._redirect(
                 task, "pread64", (fd, length, offset), {},
                 translated=(proxy_fd, length, offset),
             )
-            if not isinstance(data, bytes) or len(data) > length:
-                # The CVM is untrusted: an oversized or mistyped answer
-                # would be written past the new mapping with need_prot=0
-                # (an Iago overwrite).  Refuse it before mapping.
-                raise SyscallError(
-                    errno.EIO,
-                    f"CVM pread64 result does not fit a {length}-byte "
-                    f"mapping",
-                    call="mmap2",
-                )
             base = task.address_space.mmap(length, prot, flags, addr)
             if data:
                 task.address_space.write(base, data, need_prot=0)
@@ -1573,65 +1485,63 @@ class AnceptionLayer:
     # explicit batch windows (opt-in syscall batching)
     # ------------------------------------------------------------------
 
-    def batch(self, task):
-        """Open an explicit batch window for ``task``.
-
-        Inside ``with layer.batch(task):`` deferrable calls (``write``,
-        ``pwrite64``) queue instead of forwarding; consecutive writes to
-        the same fd coalesce into one descriptor; the window's exit
-        flushes everything behind a single doorbell pair.  Deferred
-        writes complete *optimistically* (the byte count returns
-        immediately); a failure surfaces at flush as the usual typed
-        errno.  The crypto filesystem disables deferral — its transform
-        needs the live proxy-side file offset per call.
-        """
-        return DelegationBatch(self, task)
-
     def run_batch(self, task, calls):
         """Run ``calls`` — ``(name, *args)`` tuples — under one window.
 
         The kernel-facing entry for the opt-in batched dispatch path
         (``libc.syscall_batch``): every call goes through the normal
         alternate-table dispatch, so host/block/split decisions apply
-        unchanged; only redirected deferrable calls actually batch.
+        unchanged.  Redirected ``write``/``pwrite64`` calls with no
+        keyword arguments queue instead of forwarding
+        (:meth:`_batch_add`) and complete *optimistically* with their
+        byte count; consecutive writes to the same fd merge into one
+        descriptor.  Any other redirected call flushes the queue first,
+        and the window's end flushes the rest behind a single doorbell
+        pair — even when a later call raised, so every write the
+        program issued still lands.  A queued write that fails
+        surfaces at its flush as the usual typed errno.  The crypto
+        filesystem disables deferral: its transform needs the live
+        proxy-side file offset per call.
         """
+        self._batch = (task, [])
         results = []
-        with self.batch(task):
-            for call in calls:
-                name, rest = call[0], tuple(call[1:])
-                results.append(self.host_kernel.syscall(task, name, *rest))
+        try:
+            for name, *args in calls:
+                results.append(self.host_kernel.syscall(task, name, *args))
+        finally:
+            # A failing flush wins over a later call's error: its write
+            # came first in program order.
+            self._flush_batch(close=True)
         return results
 
-    def _run_batch(self, task, calls):
-        """Forward a flushed batch window behind one doorbell pair."""
-        if not calls:
+    def _batch_add(self, entries, name, args):
+        """Queue one deferrable call; return its optimistic byte count."""
+        fd, data = args[0], bytes(args[1])
+        if name == "pwrite64":
+            entries.append(("pwrite64", fd, data, args[2]))
+        elif entries and entries[-1][0] == "write" and entries[-1][1] == fd:
+            entries[-1][2].append(data)
+        else:
+            entries.append(("write", fd, [data]))
+        return len(data)
+
+    def _flush_batch(self, close=False):
+        """Forward everything queued behind one doorbell pair; ``close``
+        also ends the window.  A killed app's queued writes die with it
+        (and its proxy), so the kill is what surfaces."""
+        task, entries = self._batch
+        self._batch = None if close else (task, [])
+        if not entries or not task.is_alive():
             return
-        lane = self._lane(task)
-        attempt = 0
-        while True:
-            self._ensure_container(lane, "batch")
-            try:
-                with maybe_span(self.machine.clock, "proxy",
-                                f"forward:batch:{len(calls)}", task=task,
-                                kernel=self.host_kernel.label,
-                                decision="redirect", batch=len(calls)):
-                    pendings = [
-                        self.submit(task, name, args, {}, lane=lane)
-                        for name, args in calls
-                    ]
-                    self.flush(task, reason="batch", lane=lane)
-                    for pending in pendings:
-                        self.complete(pending, lane=lane)
-                return
-            except DelegationError as failure:
-                attempt += 1
-                if not self.recovery.enabled \
-                        or attempt > self.recovery.max_retries:
-                    raise SyscallError(
-                        errno.EIO, f"delegation failed: {failure}",
-                        call="batch",
-                    ) from failure
-                self._recover_from(task, failure, attempt, "batch")
+        calls = []
+        for entry in entries:
+            if entry[0] == "write":
+                args = (entry[1], b"".join(entry[2]))
+            else:
+                args = entry[1:]
+            calls.append((entry[0], args, {}, None))
+        self._forward(task, self._lane(task), "batch", calls,
+                      label=f"batch:{len(calls)}", batch=len(calls))
 
     # ------------------------------------------------------------------
     # async windows: which calls defer, which calls fence (DESIGN §9)

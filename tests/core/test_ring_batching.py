@@ -6,10 +6,13 @@ while a lone redirected call keeps its classic two-world-switch shape
 (pinned separately in test_invariants.py).
 """
 
+import errno
+
 import pytest
 
-from repro.errors import SimulationError, SyscallError
+from repro.errors import ProcessKilled, SyscallError
 from repro.kernel import vfs
+from repro.kernel.process import Credentials
 from repro.obs.bus import TraceBus
 from repro.world import AnceptionWorld
 
@@ -172,44 +175,77 @@ class TestBatchWindows:
     def test_batch_window_defers_then_flushes_on_exit(self,
                                                       anception_world,
                                                       enrolled_ctx):
-        anception = anception_world.anception
         hypervisor = anception_world.cvm.hypervisor
+        channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "w.bin")
         irq_before = hypervisor.interrupt_count
-        with anception.batch(enrolled_ctx.task) as window:
-            n = enrolled_ctx.libc.write(fd, b"deferred")
-            assert n == 8  # optimistic completion
-            assert hypervisor.interrupt_count == irq_before  # not yet
+        pushed_before = channel.submit_ring.stats()["pushed"]
+        # both writes queue with optimistic byte counts (the host getpid
+        # between them flushes nothing); the window's end sends their
+        # two descriptors behind a single doorbell
+        results = enrolled_ctx.libc.syscall_batch([
+            ("write", fd, b"deferred"), ("getpid",),
+            ("pwrite64", fd, b"DE", 0),
+        ])
+        assert results == [8, enrolled_ctx.task.pid, 2]
         assert hypervisor.interrupt_count == irq_before + 1
-        assert window.calls_enqueued == 1
+        assert channel.submit_ring.stats()["pushed"] == pushed_before + 2
+        enrolled_ctx.libc.lseek(fd, 0)
+        assert enrolled_ctx.libc.read(fd, 8) == b"DEferred"
 
     def test_non_deferrable_call_flushes_queued_writes_first(
-            self, anception_world, enrolled_ctx):
-        anception = anception_world.anception
+            self, enrolled_ctx):
         fd = _open_scratch(enrolled_ctx, "o.bin")
-        with anception.batch(enrolled_ctx.task):
-            enrolled_ctx.libc.write(fd, b"ordered")
-            # the read must observe the queued write (program order)
-            enrolled_ctx.libc.lseek(fd, 0)
-            assert enrolled_ctx.libc.read(fd, 7) == b"ordered"
+        # the read must observe the queued write (program order)
+        assert enrolled_ctx.libc.syscall_batch([
+            ("write", fd, b"ordered"), ("lseek", fd, 0), ("read", fd, 7),
+        ]) == [7, 0, b"ordered"]
 
-    def test_batch_error_surfaces_at_flush(self, anception_world,
-                                           enrolled_ctx):
+    def test_vectored_call_flushes_queued_writes_first(self, enrolled_ctx):
+        fd = _open_scratch(enrolled_ctx, "ov.bin")
+        assert enrolled_ctx.libc.syscall_batch([
+            ("write", fd, b"a"), ("writev", fd, [b"b"]), ("lseek", fd, 0),
+            ("read", fd, 8),
+        ]) == [1, 1, 0, b"ab"]
+
+    def test_batch_error_surfaces_at_flush(self, enrolled_ctx):
         read_only = enrolled_ctx.libc.open(
             enrolled_ctx.data_path("seed.txt"), vfs.O_RDONLY
         )
-        with pytest.raises(SyscallError):
-            with anception_world.anception.batch(enrolled_ctx.task):
-                # optimistic success now, real errno at window exit
-                enrolled_ctx.libc.write(read_only, b"doomed")
+        with pytest.raises(SyscallError) as excinfo:
+            # optimistic success now, real errno at window exit
+            enrolled_ctx.libc.syscall_batch([("write", read_only, b"doomed")])
+        assert excinfo.value.errno == errno.EBADF
 
-    def test_batch_windows_do_not_nest(self, anception_world,
-                                       enrolled_ctx):
-        anception = anception_world.anception
-        with anception.batch(enrolled_ctx.task):
-            with pytest.raises(SimulationError):
-                with anception.batch(enrolled_ctx.task):
-                    pass
+    def test_failing_call_still_flushes_earlier_writes(self, anception_world,
+                                                       enrolled_ctx,
+                                                       native_ctx):
+        # A later call raising must not swallow the writes queued before
+        # it: both worlds raise EBADF and keep both writes.
+        contents = []
+        for ctx in (native_ctx, enrolled_ctx):
+            fd = _open_scratch(ctx, "kept.bin")
+            with pytest.raises(SyscallError) as excinfo:
+                ctx.libc.syscall_batch([
+                    ("write", fd, b"hello"), ("write", fd, b"world"),
+                    ("close", 999),
+                ])
+            assert excinfo.value.errno == errno.EBADF
+            ctx.libc.lseek(fd, 0)
+            contents.append(ctx.libc.read(fd, 64))
+        assert contents == [b"helloworld", b"helloworld"]
+        assert anception_world.anception._batch is None
+
+    def test_kill_inside_batch_surfaces_and_drops_the_queue(
+            self, anception_world, enrolled_ctx):
+        fd = _open_scratch(enrolled_ctx, "killed.bin")
+        enrolled_ctx.task.credentials = Credentials(0)
+        with pytest.raises(ProcessKilled):
+            enrolled_ctx.libc.syscall_batch([
+                ("write", fd, b"queued"), ("setuid", 4242),
+            ])
+        assert anception_world.anception.recovery_log == []
+        assert anception_world.anception._batch is None
 
     def test_pwrite_defers_without_coalescing(self, anception_world,
                                               enrolled_ctx):

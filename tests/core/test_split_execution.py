@@ -246,6 +246,86 @@ class TestFdContract:
             == remote_before
 
 
+_COUNT_LIES = [
+    ("read-oversize", "read", lambda args: b"X" * (args[1] + 8192),
+     lambda libc, fd: libc.read(fd, 16)),
+    ("read-int", "read", lambda args: args[1],
+     lambda libc, fd: libc.read(fd, 16)),
+    ("pread64-oversize", "pread64", lambda args: b"X" * (args[1] + 8192),
+     lambda libc, fd: libc.pread(fd, 16, 0)),
+    ("readv-entry-oversize", "read", lambda args: b"X" * (args[1] + 8192),
+     lambda libc, fd: libc.readv(fd, [4, 4])),
+    ("write-huge", "write", lambda args: 10 ** 9,
+     lambda libc, fd: libc.write(fd, b"four")),
+    ("write-negative", "write", lambda args: -5,
+     lambda libc, fd: libc.write(fd, b"four")),
+    ("write-str", "write", lambda args: "4",
+     lambda libc, fd: libc.write(fd, b"four")),
+    ("pwrite64-bool", "pwrite64", lambda args: True,
+     lambda libc, fd: libc.pwrite(fd, b"x", 0)),
+    ("batch-write-huge", "write", lambda args: 10 ** 9,
+     lambda libc, fd: libc.syscall_batch([("write", fd, b"ab"),
+                                          ("write", fd, b"cd")])),
+]
+
+
+class TestByteCountContract:
+    @staticmethod
+    def _scratch_libc(monkeypatch, cvm_call, lie, path, prefill=b"",
+                      **world_kwargs):
+        """Boot a world, open ``path`` (after writing ``prefill``), then
+        make the CVM answer every ``cvm_call`` with ``lie(args)``."""
+        from repro.core.proxy import ProxyManager
+        from repro.world import AnceptionWorld
+        from tests.conftest import ScratchApp
+
+        running = AnceptionWorld(**world_kwargs).install_and_launch(
+            ScratchApp())
+        running.run()
+        libc = running.ctx.libc
+        fd = libc.open(running.ctx.data_path(path), _CREATE)
+        if prefill:
+            libc.write(fd, prefill)
+            libc.lseek(fd, 0)
+        honest = ProxyManager.execute
+
+        def lying_execute(self, proxy, name, args, kwargs):
+            if name == cvm_call:
+                return lie(args)
+            return honest(self, proxy, name, args, kwargs)
+
+        monkeypatch.setattr(ProxyManager, "execute", lying_execute)
+        return libc, fd
+
+    @pytest.mark.parametrize("read_cache", [False, True],
+                             ids=["cache-off", "cache-on"])
+    @pytest.mark.parametrize("cvm_call, lie, call",
+                             [case[1:] for case in _COUNT_LIES],
+                             ids=[case[0] for case in _COUNT_LIES])
+    def test_lying_byte_count_is_refused(self, monkeypatch, read_cache,
+                                         cvm_call, lie, call):
+        # The CVM answers a read longer than requested or of the wrong
+        # type, or a write count outside [0, len(data)].
+        libc, fd = self._scratch_libc(
+            monkeypatch, cvm_call, lie, "count.bin",
+            prefill=b"0123456789abcdef" * 2, read_cache=read_cache)
+        with pytest.raises(SyscallError) as excinfo:
+            call(libc, fd)
+        assert excinfo.value.errno == errno.EIO
+        assert f"CVM answered {cvm_call}" in str(excinfo.value)
+
+    def test_window_drain_ledgers_the_refusal(self, monkeypatch):
+        # A deferred write has already returned its optimistic count, so
+        # the refusal lands in the window's ledger and surfaces at fsync.
+        libc, fd = self._scratch_libc(monkeypatch, "write", lambda args: -5,
+                                      "wb.bin", async_delegation=True)
+        assert libc.write(fd, b"four") == 4
+        with pytest.raises(SyscallError) as excinfo:
+            libc.fsync(fd)
+        assert excinfo.value.errno == errno.EIO
+        assert "CVM answered write" in str(excinfo.value.__cause__)
+
+
 class TestUidChangeKill:
     def test_setuid_change_kills_app(self, anception_world, enrolled_ctx):
         task = enrolled_ctx.task

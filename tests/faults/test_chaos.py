@@ -86,6 +86,27 @@ class TestDegradation:
                    if action == "reboot-cvm"]
         assert any("compromised" in reason for reason in reasons)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a completion corrupted on its way to the host is "
+        "retried by re-submitting a write the CVM already ran"))
+    def test_corrupted_completion_does_not_replay_the_write(self):
+        from repro.kernel import vfs
+
+        seen = {}
+
+        def two_writes(ctx):
+            fd = ctx.libc.open(ctx.data_path("once.bin"),
+                               vfs.O_RDWR | vfs.O_CREAT | vfs.O_TRUNC)
+            ctx.libc.write(fd, b"one|")
+            ctx.libc.write(fd, b"two|")
+            ctx.libc.lseek(fd, 0)
+            seen["data"] = ctx.libc.read(fd, 64)
+
+        result = run_chaos(two_writes, seed=7, faults="ring.corrupt:nth=4")
+        assert result.status == "ok"
+        assert result.faults["fired_total"] == 1
+        assert seen["data"] == b"one|two|"
+
 
 class TestHarnessSurface:
     def test_unknown_workload_rejected(self):
