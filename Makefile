@@ -1,6 +1,7 @@
 # Anception reproduction — developer entry points.
 
 PYTHON ?= python
+export PYTHONPATH := src
 
 .PHONY: test bench examples all-experiments lint trace-demo chaos-demo profile-demo coverage clean
 
@@ -30,22 +31,22 @@ lint:
 	fi
 
 trace-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.cli trace table1 --format chrome --out table1-trace.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli trace table1 --format ftrace
-	PYTHONPATH=src $(PYTHON) -m repro.cli metrics table1
+	$(PYTHON) -m repro.cli trace table1 --format chrome --out table1-trace.json
+	$(PYTHON) -m repro.cli trace table1 --format ftrace
+	$(PYTHON) -m repro.cli metrics table1
 
 chaos-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos fileops --seed 7 --out chaos-a.json --trace-out chaos-trace.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli chaos fileops --seed 7 --out chaos-b.json
+	$(PYTHON) -m repro.cli chaos fileops --seed 7 --out chaos-a.json --trace-out chaos-trace.json
+	$(PYTHON) -m repro.cli chaos fileops --seed 7 --out chaos-b.json
 	cmp chaos-a.json chaos-b.json && echo "chaos run is byte-identical across replays"
 
 profile-demo:
 	$(PYTHON) perfbench/run.py --workload fleet_async --seed 1 --seconds 2 --trace 1
-	PYTHONPATH=src $(PYTHON) -m repro.cli trace writeburst --out writeburst-trace.json
-	PYTHONPATH=src $(PYTHON) -m repro.cli report writeburst-trace.json
+	$(PYTHON) -m repro.cli trace writeburst --out writeburst-trace.json
+	$(PYTHON) -m repro.cli report writeburst-trace.json
 
 coverage:
-	PYTHONPATH=src $(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing --cov-fail-under=85
+	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing --cov-fail-under=85
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 
 def _positive_int(text):
@@ -177,14 +178,6 @@ def _cache_summary(anception):
     )
 
 
-def _cache_args(args):
-    """The (read_cache, cache_pages) pair the workload runners take."""
-    return {
-        "read_cache": not getattr(args, "no_read_cache", False),
-        "cache_pages": getattr(args, "cache_pages", 1024),
-    }
-
-
 def _wb_summary(anception):
     """One human line of write-behind state for stderr (or None if off).
 
@@ -200,18 +193,6 @@ def _wb_summary(anception):
         f" deferred_errors={stats['deferred_errors']}"
         f" max_depth_seen={stats['max_depth_seen']}"
     )
-
-
-def _wb_args(args):
-    """The (write_behind, write_behind_depth) pair the runners take.
-
-    Like the read cache, write-behind is on by default for the tooling
-    commands (trace/metrics/chaos) and off in the library default.
-    """
-    return {
-        "write_behind": not getattr(args, "no_write_behind", False),
-        "write_behind_depth": getattr(args, "write_behind_depth", None),
-    }
 
 
 def _binder_summary(anception):
@@ -232,25 +213,23 @@ def _binder_summary(anception):
     )
 
 
-def _binder_args(args):
-    """The (binder_ring, binder_ring_depth) pair the runners take.
+def _config(args):
+    """The delegation config of the tooling commands: ``FAST`` with the
+    command-line flags applied.  The library default stays ``PAPER``."""
+    from repro.core.config import FAST
 
-    Like write-behind, the batched binder path is on by default for the
-    tooling commands (trace/metrics/chaos) and off in the library
-    default.
-    """
-    return {
-        "binder_ring": not getattr(args, "no_binder_ring", False),
-        "binder_ring_depth": getattr(args, "binder_ring_depth", None),
-    }
-
-
-def _pool_args(args):
-    """The (cvms, placement) pair the workload runners take."""
-    return {
-        "cvms": getattr(args, "cvms", 1),
-        "placement": getattr(args, "placement", None),
-    }
+    return replace(
+        FAST,
+        ring_depth=args.ring_depth,
+        read_cache=not args.no_read_cache,
+        cache_pages=args.cache_pages,
+        async_delegation=not args.no_write_behind,
+        write_behind_depth=args.write_behind_depth,
+        binder_ring=not args.no_binder_ring,
+        binder_ring_depth=args.binder_ring_depth,
+        cvms=args.cvms,
+        placement=args.placement,
+    )
 
 
 def _pool_summary(anception):
@@ -286,10 +265,7 @@ def cmd_trace(args):
     seed = getattr(args, "seed", 0)
     host_t0 = time.perf_counter_ns()
     try:
-        result = run_traced(workload, seed=seed,
-                            ring_depth=getattr(args, "ring_depth", None),
-                            **_cache_args(args), **_wb_args(args),
-                            **_binder_args(args), **_pool_args(args))
+        result = run_traced(workload, seed=seed, config=_config(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     host_ns = time.perf_counter_ns() - host_t0
@@ -333,9 +309,7 @@ def cmd_metrics(args):
     seed = getattr(args, "seed", 0)
     try:
         result = run_traced(workload, seed=seed, logcat=False,
-                            ring_depth=getattr(args, "ring_depth", None),
-                            **_cache_args(args), **_wb_args(args),
-                            **_binder_args(args), **_pool_args(args))
+                            config=_config(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     bus = getattr(result.world.clock, "bus", None)
@@ -359,9 +333,7 @@ def cmd_chaos(args):
     try:
         result = run_chaos(workload, seed=seed,
                            faults=getattr(args, "faults", None),
-                           ring_depth=getattr(args, "ring_depth", None),
-                           **_cache_args(args), **_wb_args(args),
-                           **_binder_args(args), **_pool_args(args))
+                           config=_config(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
     trace_out = getattr(args, "trace_out", None)
@@ -408,17 +380,15 @@ def cmd_snapshot(args):
             f"anception: error: unknown workload {workload!r} "
             f"(known: {known})"
         )
-    knobs = {"ring_depth": getattr(args, "ring_depth", None),
-             **_cache_args(args), **_wb_args(args), **_binder_args(args),
-             **_pool_args(args)}
     warmup = getattr(args, "warmup", None) or 0
+    if warmup < 0:
+        sys.exit(f"anception: error: --warmup must be >= 0, got {warmup}")
     host_t0 = time.perf_counter_ns()
-    world, ctx = boot_obs_world(**knobs)
+    world, ctx = boot_obs_world(_config(args))
     target = world if getattr(fn, "needs_world", False) else ctx
     for _ in range(warmup):
         fn(target)
-    blob = world.snapshot(meta={"workload": workload, "warmup": warmup,
-                                "knobs": knobs})
+    blob = world.snapshot(meta={"workload": workload, "warmup": warmup})
     out = getattr(args, "out", None) or "world.snap"
     try:
         with open(out, "wb") as handle:
@@ -465,6 +435,16 @@ def cmd_resume(args):
     except SnapshotError as exc:
         sys.exit(f"anception: error: {exc}")
     workload = meta.get("workload", "write4k")
+    warmup = meta.get("warmup", 0)
+    if not isinstance(workload, str) or workload not in TRACE_WORKLOADS:
+        sys.exit(f"anception: error: snapshot meta workload {workload!r} "
+                 "is not a traced workload")
+    if type(warmup) is not int or warmup < 0:
+        sys.exit(f"anception: error: snapshot meta warmup {warmup!r} "
+                 "is not a non-negative int")
+    if world.anception is None or not world.zygote.launched:
+        sys.exit(f"anception: error: snapshot {path} holds no launched "
+                 "app on an Anception world")
     seed = getattr(args, "seed", 0)
     result = run_traced(workload, seed=seed, world=world)
     print(
@@ -477,11 +457,10 @@ def cmd_resume(args):
         return
     # Straight-through control: fresh boot + the recorded warmup + the
     # same traced run.  Restore≡boot means the digests match exactly.
-    knobs = meta.get("knobs", {})
-    fresh, ctx = boot_obs_world(**knobs)
+    fresh, ctx = boot_obs_world(world.anception.config)
     fn = TRACE_WORKLOADS[workload]
     target = fresh if getattr(fn, "needs_world", False) else ctx
-    for _ in range(meta.get("warmup", 0)):
+    for _ in range(warmup):
         fn(target)
     run_traced(workload, seed=seed, world=fresh)
     resumed_digest = world_digest(world)

@@ -100,26 +100,16 @@ class AnceptionLayer:
     lines_of_code = ANCEPTION_LINES_OF_CODE
     marshaling_lines = ANCEPTION_MARSHALING_LINES
 
-    def __init__(self, machine, host_system, guest_mb=64,
-                 file_io_on_host=False, ring_depth=None, read_cache=False,
-                 cache_pages=1024, async_delegation=False,
-                 write_behind_depth=None, binder_ring=False,
-                 binder_ring_depth=None, cvms=1, placement=None):
+    def __init__(self, machine, host_system, config):
         self.machine = machine
         self.host_kernel = machine.kernel
         self.host_system = host_system
-        # Lane-construction config, consumed by _bind_lane at boot and
-        # again on every lane-scoped reboot.
-        self._guest_mb = guest_mb
-        self._ring_depth = ring_depth
-        self._read_cache = read_cache
-        self._cache_pages = cache_pages
-        self._async_delegation = async_delegation
-        self._write_behind_depth = write_behind_depth
-        self._binder_ring_on = binder_ring
-        self._binder_ring_depth = binder_ring_depth
+        self.config = config
+        """The :class:`~repro.core.config.DelegationConfig`, read by
+        :meth:`_bind_lane` at boot and again on every lane reboot."""
         self._firewall_rule = None
-        self.pool = CVMPool(machine.clock, cvms=cvms, placement=placement)
+        self.pool = CVMPool(machine.clock, cvms=config.cvms,
+                            placement=config.placement)
         """The routed transport: one :class:`~repro.core.pool.CVMLane`
         per container VM, plus the deterministic placement map.  The
         single-CVM default is byte-identical to the pre-pool layer."""
@@ -129,7 +119,8 @@ class AnceptionLayer:
         self._batch = None
         """``(task, queued entries)`` while :meth:`run_batch` runs."""
         self.policy = RedirectionPolicy(
-            host_system.ui_service_names(), file_io_on_host=file_io_on_host
+            host_system.ui_service_names(),
+            file_io_on_host=config.file_io_on_host,
         )
         self.exec_cache = ExecutionCache(self.host_kernel)
         self.recovery = RecoveryPolicy()
@@ -173,31 +164,32 @@ class AnceptionLayer:
         in-flight and path maps, and the firewall re-applied — nothing
         re-binds anywhere else, so no stale reference can survive.
         """
+        config = self.config
         if lane.cvm is None:
-            lane.cvm = ContainerVM(self.machine, self._guest_mb,
+            lane.cvm = ContainerVM(self.machine, config.guest_mb,
                                    cvm_id=lane.cvm_id)
         lane.channel = AnceptionChannel(
             lane.cvm.hypervisor, self.machine.costs,
-            ring_depth=self._ring_depth,
+            ring_depth=config.ring_depth,
         )
         lane.proxies = ProxyManager(lane.cvm)
         lane.inflight = []
         lane.cache_paths = {}
-        if self._read_cache:
+        if config.read_cache:
             if lane.page_cache is None:
-                lane.page_cache = HostPageCache(max_pages=self._cache_pages)
+                lane.page_cache = HostPageCache(max_pages=config.cache_pages)
             else:
                 # The guest filesystem was rebuilt: every cached page
                 # describes inodes that no longer exist.  Counters
                 # survive (they are run-level telemetry).
                 lane.page_cache.clear()
-        if self._async_delegation:
+        if config.async_delegation:
             lane.write_behind = self._arm_windows(
                 lane, lane.write_behind, WRITE_BEHIND,
-                self._write_behind_depth)
-        if self._binder_ring_on:
+                config.write_behind_depth)
+        if config.binder_ring:
             lane.binder_ring = self._arm_windows(
-                lane, lane.binder_ring, BINDER, self._binder_ring_depth)
+                lane, lane.binder_ring, BINDER, config.binder_ring_depth)
         lane.cvm.kernel.network.firewall = self._firewall_rule
         return lane
 

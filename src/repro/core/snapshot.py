@@ -67,13 +67,15 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 """Blob layout version.  2: ring descriptors, pending calls and staged
 window entries carry wire *sizes* instead of wire bytes.  3: both async
 window kinds are one ``repro.core.windows.AsyncWindows`` class with one
 entry type, and the pool drops its rebalance counter.  4: the clock
 drops its wall-profiler slot and the Anception layer its channel-page
-and ring-batching fields.  Older blobs are refused."""
+and ring-batching fields.  5: the layer's lane settings are one
+``repro.core.config.DelegationConfig``, and the CLI's meta no longer
+records them.  Older blobs are refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the
@@ -209,8 +211,9 @@ def snapshot_world(world, meta=None):
     """Serialize ``world`` into a self-contained versioned blob.
 
     ``meta`` is an optional JSON-like dict stored alongside the
-    sections (the CLI records the workload name and knob set there so
-    ``anception resume`` can re-run and verify without being told).
+    sections (the CLI records the workload name and warmup count there
+    so ``anception resume`` can re-run and verify without being told;
+    the delegation config travels inside the world itself).
     """
     manifest = audit_components(world)
     table = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 
 from repro.android.app import App, AppManifest
+from repro.core.config import PAPER
 from repro.core.recovery import RecoveryPolicy
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
@@ -83,10 +84,7 @@ def chaos_report_json(result):
 
 
 def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
-              ring_depth=None, read_cache=False, cache_pages=1024,
-              write_behind=False, write_behind_depth=None,
-              binder_ring=False, binder_ring_depth=None,
-              cvms=1, placement=None, world=None):
+              config=PAPER, world=None):
     """Run ``workload`` with ``faults`` armed; never hangs, always reports.
 
     ``workload`` is a name from the traced-workload registry or any
@@ -94,24 +92,18 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     :class:`FaultPlan`, or ``None`` for :data:`DEFAULT_PLAN`.
     ``recovery=False`` runs with the default (disabled) policy, which is
     how the degradation guarantee — a well-defined errno, not a hang —
-    is exercised.  ``ring_depth`` overrides the delegation rings' depth;
-    ``read_cache``/``cache_pages`` enable and size the host-side page
-    cache (the ``cache.stale``/``cache.evict`` sites need it on);
-    ``write_behind``/``write_behind_depth`` enable and size the async
-    write-behind windows (the ``wb.error``/``wb.reap-loss`` sites need
-    them on); ``binder_ring``/``binder_ring_depth`` enable and size the
-    batched binder windows (the ``binder.*`` sites need them on);
-    ``cvms``/``placement`` shard apps across a pool of container VMs
-    (the ``pool.*`` sites need >1 lane to matter).
+    is exercised.  ``config`` is the booted world's
+    :class:`~repro.core.config.DelegationConfig`; the ``cache.*``,
+    ``wb.*`` and ``binder.*`` sites need its read cache, write-behind
+    and binder ring on, and the ``pool.*`` sites need ``cvms > 1``.
 
     Workloads with ``needs_world = True`` (the fleet driver) receive
     the booted world instead of the prey app's context.
 
     ``world`` warm-starts the campaign on an already-booted (typically
-    snapshot-restored) world; the knob arguments are ignored in that
-    case.  A restored mid-campaign world resumes with its armed fault
-    engine's trigger cursor and PRNG intact unless a fresh plan is
-    armed here.
+    snapshot-restored) world; ``config`` is ignored in that case.  A
+    restored mid-campaign world resumes with its armed fault engine's
+    trigger cursor and PRNG intact unless a fresh plan is armed here.
     """
     if callable(workload):
         fn, name = workload, getattr(workload, "__name__", "custom")
@@ -124,13 +116,7 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     plan = FaultPlan.parse(DEFAULT_PLAN if faults is None else faults)
 
     if world is None:
-        world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
-                               cache_pages=cache_pages,
-                               async_delegation=write_behind,
-                               write_behind_depth=write_behind_depth,
-                               binder_ring=binder_ring,
-                               binder_ring_depth=binder_ring_depth,
-                               cvms=cvms, placement=placement)
+        world = AnceptionWorld(config=config)
         running = world.install_and_launch(ChaosApp())
         running.run()
         ctx = running.ctx

@@ -11,6 +11,7 @@ tested: elapsed simulated time is identical either way.
 from __future__ import annotations
 
 from repro.android.app import App, AppManifest
+from repro.core.config import PAPER
 from repro.kernel import vfs
 from repro.obs.bus import LogcatSink, TraceBus
 from repro.obs.export import make_trace_id
@@ -178,23 +179,15 @@ TRACE_WORKLOADS = {
 }
 
 
-def boot_obs_world(ring_depth=None, read_cache=False, cache_pages=1024,
-                   write_behind=False, write_behind_depth=None,
-                   binder_ring=False, binder_ring_depth=None,
-                   cvms=1, placement=None):
+def boot_obs_world(config=PAPER):
     """Boot an AnceptionWorld with an enrolled app; returns (world, ctx).
 
     The shared setup for :func:`run_traced`, the ``snapshot``/``resume``
     commands and tests that drive workload bodies against a pre-booted
-    world.
+    world.  ``config`` is the world's
+    :class:`~repro.core.config.DelegationConfig`.
     """
-    world = AnceptionWorld(ring_depth=ring_depth, read_cache=read_cache,
-                           cache_pages=cache_pages,
-                           async_delegation=write_behind,
-                           write_behind_depth=write_behind_depth,
-                           binder_ring=binder_ring,
-                           binder_ring_depth=binder_ring_depth,
-                           cvms=cvms, placement=placement)
+    world = AnceptionWorld(config=config)
     running = world.install_and_launch(_ObsApp())
     running.run()
     return world, running.ctx
@@ -214,45 +207,29 @@ class TraceResult:
         self.world = world
 
 
-def run_traced(workload, seed=0, observe=True, logcat=True,
-               ring_depth=None, read_cache=False, cache_pages=1024,
-               write_behind=False, write_behind_depth=None,
-               binder_ring=False, binder_ring_depth=None,
-               cvms=1, placement=None, world=None):
+def run_traced(workload, seed=0, observe=True, logcat=True, config=PAPER,
+               world=None):
     """Boot an Anception world, run ``workload`` under the bus.
 
     ``observe=False`` runs the identical stream with no capture active —
     the observability-is-free baseline.  ``logcat`` mirrors span records
-    into the host kernel's log device as ``trace:`` lines.
-    ``ring_depth`` overrides the delegation rings' derived depth;
-    ``read_cache``/``cache_pages`` enable and size the host-side page
-    cache for delegated reads; ``write_behind``/``write_behind_depth``
-    turn on and size the async write-behind delegation windows;
-    ``binder_ring``/``binder_ring_depth`` turn on and size the batched
-    binder delegation windows; ``cvms``/``placement`` shard enrolled
-    apps across a pool of container VMs.
+    into the host kernel's log device as ``trace:`` lines.  ``config``
+    is the booted world's :class:`~repro.core.config.DelegationConfig`.
 
     Workloads that set ``needs_world = True`` (the fleet driver) are
     called with the booted world instead of a single app context: they
     install and run their own population of apps.
 
     ``world`` warm-starts the run on an already-booted (typically
-    snapshot-restored) world instead of paying a fresh boot; the knob
-    arguments are ignored in that case — the world carries its own
-    configuration.
+    snapshot-restored) world instead of paying a fresh boot; ``config``
+    is ignored in that case — the world carries its own.
     """
     fn = TRACE_WORKLOADS.get(workload)
     if fn is None:
         known = ", ".join(sorted(TRACE_WORKLOADS))
         raise ValueError(f"unknown workload {workload!r} (known: {known})")
     if world is None:
-        world, ctx = boot_obs_world(
-            ring_depth=ring_depth, read_cache=read_cache,
-            cache_pages=cache_pages, write_behind=write_behind,
-            write_behind_depth=write_behind_depth, binder_ring=binder_ring,
-            binder_ring_depth=binder_ring_depth, cvms=cvms,
-            placement=placement,
-        )
+        world, ctx = boot_obs_world(config)
     else:
         ctx = world.zygote.launched[-1].ctx
     target = world if getattr(fn, "needs_world", False) else ctx

@@ -26,6 +26,9 @@ runs, never *what* it computes).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.core.config import FAST
 from repro.errors import SyscallError
 from repro.kernel import vfs as _vfs
 from repro.workloads.fleet import FleetApp, run_fleet
@@ -54,9 +57,9 @@ def _boot(cvms):
     # therefore drain) mid-round: drains charged to each lane's overlap
     # cursor while the host keeps feeding the other lanes is where the
     # multi-CVM scaling comes from.  Fence-time drains would serialize.
-    return AnceptionWorld(cvms=cvms, placement=PLACEMENT, read_cache=True,
-                          async_delegation=True, write_behind_depth=8,
-                          binder_ring=True, binder_ring_depth=4)
+    return AnceptionWorld(config=replace(
+        FAST, write_behind_depth=8, binder_ring_depth=4, cvms=cvms,
+        placement=PLACEMENT))
 
 
 def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS):

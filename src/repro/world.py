@@ -15,10 +15,13 @@ so workloads and exploits run unmodified against either — the paper's
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.android.framework import AndroidSystem
 from repro.android.installer import Installer
 from repro.android.zygote import Zygote
 from repro.core.anception import AnceptionLayer
+from repro.core.config import PAPER
 from repro.errors import SimulationError
 from repro.kernel.kernel import Machine
 from repro.kernel.libc import Libc
@@ -173,22 +176,14 @@ class ClassicalVmWorld(_World):
 class AnceptionWorld(_World):
     """Android with the Anception layer and its container VM."""
 
-    def __init__(self, machine=None, total_mb=1024, guest_mb=64,
-                 file_io_on_host=False, ring_depth=None, read_cache=False,
-                 cache_pages=1024, async_delegation=False,
-                 write_behind_depth=None, binder_ring=False,
-                 binder_ring_depth=None, cvms=1, placement=None):
+    def __init__(self, machine=None, total_mb=1024, config=PAPER,
+                 **overrides):
+        """``config`` is a :class:`~repro.core.config.DelegationConfig`;
+        ``overrides`` replace single fields of it by name."""
+        config = replace(config, **overrides)
         machine = machine or Machine(total_mb=total_mb)
         system = AndroidSystem(machine.kernel, profile="ui_only")
-        anception = AnceptionLayer(
-            machine, system, guest_mb=guest_mb,
-            file_io_on_host=file_io_on_host, ring_depth=ring_depth,
-            read_cache=read_cache, cache_pages=cache_pages,
-            async_delegation=async_delegation,
-            write_behind_depth=write_behind_depth,
-            binder_ring=binder_ring, binder_ring_depth=binder_ring_depth,
-            cvms=cvms, placement=placement,
-        )
+        anception = AnceptionLayer(machine, system, config)
         super().__init__(machine, system, anception)
 
     @property

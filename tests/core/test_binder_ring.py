@@ -20,12 +20,15 @@ from repro.android.binder import (
     Transaction,
     TransactionLog,
 )
+from repro.core.config import DelegationConfig
 from repro.core.windows import WINDOW_DEPTH
 from repro.core.marshal import encoded_size
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
 from repro.world import AnceptionWorld
+
+BINDER_RING = DelegationConfig(binder_ring=True)
 
 
 class RingApp(App):
@@ -306,7 +309,7 @@ class TestObservability:
     def test_binder_counters_flow_through_metrics(self):
         from repro.obs.runner import run_traced
 
-        result = run_traced("binderburst", logcat=False, binder_ring=True)
+        result = run_traced("binderburst", logcat=False, config=BINDER_RING)
         counters = result.metrics.snapshot()["counters"]
         submits = sum(s["value"] for s in counters["binder_submits_total"])
         drains = sum(s["value"] for s in counters["binder_drains_total"])
@@ -318,8 +321,8 @@ class TestObservability:
     def test_observation_is_free(self):
         from repro.obs.runner import run_traced
 
-        observed = run_traced("binderburst", logcat=False, binder_ring=True)
-        blind = run_traced("binderburst", logcat=False, binder_ring=True,
+        observed = run_traced("binderburst", logcat=False, config=BINDER_RING)
+        blind = run_traced("binderburst", logcat=False, config=BINDER_RING,
                            observe=False)
         assert observed.elapsed_ns == blind.elapsed_ns
 

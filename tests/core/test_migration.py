@@ -9,16 +9,18 @@ are also the :func:`app_slice`/:func:`apply_app_slice` integration
 pins.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import FAST
 from repro.core.snapshot import AppSliceError, app_slice, vfs_digest
 from repro.errors import SimulationError
 from repro.obs.runner import boot_obs_world
 
 
 def _boot():
-    return boot_obs_world(cvms=4, placement="by-uid", read_cache=True,
-                          write_behind=True, binder_ring=True)
+    return boot_obs_world(replace(FAST, cvms=4, placement="by-uid"))
 
 
 def _stage(ctx):

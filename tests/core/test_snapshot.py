@@ -13,8 +13,11 @@ The pins here are the acceptance gates from DESIGN.md §14:
   intact (the mid-chaos resume pin).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import FAST, DelegationConfig
 from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
     SNAPSHOT_MAGIC,
@@ -39,13 +42,13 @@ from repro.obs.runner import boot_obs_world, run_traced
 from repro.world import AnceptionWorld, NativeWorld, _World
 
 
-FULL_KNOBS = dict(read_cache=True, write_behind=True, binder_ring=True,
-                  cvms=4, placement="by-uid")
+FULL = replace(FAST, cvms=4, placement="by-uid")
+CACHE_WB = DelegationConfig(read_cache=True, async_delegation=True)
 
 
-def _warm_world(**knobs):
+def _warm_world(config):
     """A booted world that has actually run a workload."""
-    world, _ctx = boot_obs_world(**knobs)
+    world, _ctx = boot_obs_world(config)
     run_traced("write4k", seed=0, world=world)
     return world
 
@@ -113,18 +116,23 @@ class TestRejection:
         # channel-page and ring-batching fields; v4 drops all three.
         self._refused(anception_world, 3)
 
+    def test_v4_knob_meta_blob_is_refused(self, anception_world):
+        # v4 blobs kept the lane settings as eight loose layer fields and
+        # the CLI's meta recorded them; v5 carries one DelegationConfig.
+        self._refused(anception_world, 4)
+
     @staticmethod
     def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 4
+        assert SNAPSHOT_VERSION == 5
         blob = bytearray(world.snapshot())
         struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
                                match=f"unsupported snapshot version "
                                      f"{version} "
-                                     r"\(this build reads 4\)"):
+                                     r"\(this build reads 5\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):
@@ -180,23 +188,24 @@ class TestDeterminism:
         # The cache pin: a run with the read cache and both async lanes
         # on fills LRU/dict structures whose serialization must still be
         # a pure function of the object graph.
-        world = _warm_world(**FULL_KNOBS)
+        world = _warm_world(FULL)
         assert world.snapshot() == world.snapshot()
 
     def test_two_restores_resnapshot_identically(self):
-        blob = _warm_world(**FULL_KNOBS).snapshot()
+        blob = _warm_world(FULL).snapshot()
         first = _World.restore(blob)
         second = _World.restore(blob)
         assert first.snapshot() == second.snapshot()
 
     def test_restore_preserves_world_digest(self):
-        world = _warm_world(**FULL_KNOBS)
+        world = _warm_world(FULL)
         digest = world_digest(world)
         restored = _World.restore(world.snapshot())
         assert world_digest(restored) == digest
+        assert restored.anception.config == FULL
 
     def test_double_restore_is_idempotent(self):
-        world = _warm_world(read_cache=True, write_behind=True)
+        world = _warm_world(CACHE_WB)
         once = _World.restore(world.snapshot())
         twice = _World.restore(once.snapshot())
         assert world_digest(twice) == world_digest(world)
@@ -210,7 +219,7 @@ class TestDeterminism:
         assert restored.clock is restored.machine.clock
 
     def test_stable_digest_survives_restore_roundtrip(self):
-        world = _warm_world(read_cache=True)
+        world = _warm_world(DelegationConfig(read_cache=True))
         restored = _World.restore(world.snapshot())
         assert (stable_pickle_digest(sorted(world.anception.fd_tables))
                 == stable_pickle_digest(
@@ -224,19 +233,18 @@ class TestRestoreEqualsBoot:
                              ["by-uid", "by-trust-class", "by-load"])
     @pytest.mark.parametrize("cvms", [1, 4])
     def test_resumed_run_matches_straight_run(self, placement, cvms):
-        knobs = dict(read_cache=True, write_behind=True,
-                     binder_ring=True, cvms=cvms, placement=placement)
+        config = replace(FAST, cvms=cvms, placement=placement)
         # Straight world: warmup + one more run, never snapshotted.
-        straight = _warm_world(**knobs)
+        straight = _warm_world(config)
         run_traced("write4k", seed=1, world=straight)
         # Split world: identical warmup, snapshot, restore, same run.
-        split = _warm_world(**knobs)
+        split = _warm_world(config)
         restored = _World.restore(split.snapshot())
         run_traced("write4k", seed=1, world=restored)
         assert world_digest(restored) == world_digest(straight)
 
     def test_resume_twice_from_one_blob(self):
-        blob = _warm_world(read_cache=True, write_behind=True).snapshot()
+        blob = _warm_world(CACHE_WB).snapshot()
         first = _World.restore(blob)
         second = _World.restore(blob)
         run_traced("write4k", seed=2, world=first)
@@ -252,7 +260,7 @@ class TestMidChaosResume:
     PLAN = "channel.stall:nth=3;cache.stale:nth=5;channel.stall:every=7"
 
     def _armed(self):
-        world, _ctx = boot_obs_world(read_cache=True, write_behind=True)
+        world, _ctx = boot_obs_world(CACHE_WB)
         engine = FaultEngine(FaultPlan.parse(self.PLAN), seed=11)
         engine.arm(world.clock)
         return world
@@ -292,7 +300,7 @@ class TestMidChaosResume:
 
 class TestAudit:
     def test_full_knob_world_is_fully_audited(self):
-        world = _warm_world(**FULL_KNOBS)
+        world = _warm_world(FULL)
         manifest = audit_components(world)
         assert manifest == component_manifest(world)
 

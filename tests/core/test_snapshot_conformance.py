@@ -15,9 +15,11 @@ created state (windows, cache pages, proxies) must be in-universe too.
 """
 
 import enum
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import FAST
 from repro.core.snapshot import (
     SNAPSHOT_EXEMPT,
     audit_components,
@@ -29,9 +31,8 @@ from repro.world import AnceptionWorld, NativeWorld
 
 
 def _worlds():
-    full, _ctx = boot_obs_world(read_cache=True, write_behind=True,
-                                binder_ring=True, cvms=4,
-                                placement="by-trust-class")
+    full, _ctx = boot_obs_world(
+        replace(FAST, cvms=4, placement="by-trust-class"))
     run_traced("write4k", seed=0, world=full)
     return {
         "native": NativeWorld(),

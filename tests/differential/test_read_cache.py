@@ -10,6 +10,7 @@ byte-for-byte deterministic.
 """
 
 from repro.android.app import App, AppManifest
+from repro.core.config import PAPER, DelegationConfig
 from repro.faults.chaos import chaos_report_json, run_chaos
 from repro.kernel import vfs
 from repro.world import AnceptionWorld, NativeWorld
@@ -133,6 +134,7 @@ class TestThreeWayIdentity:
 
 
 STALE_PLAN = "cache.stale:every=2:call=pread64;cache.evict:nth=3"
+CACHED = DelegationConfig(read_cache=True)
 
 
 def _chaos_probe(ctx):
@@ -155,7 +157,7 @@ class TestChaosReplay:
             capture.results = _chaos_probe(ctx)
 
         chaotic = run_chaos(capture, seed=5, faults=STALE_PLAN,
-                            read_cache=True)
+                            config=CACHED)
         assert chaotic.status == "ok"
         fired = chaotic.faults["fired_by_site"]
         assert fired.get("cache.stale", 0) >= 1
@@ -164,7 +166,7 @@ class TestChaosReplay:
         chaotic_results = capture.results
 
         clean = run_chaos(capture, seed=5, faults="cache.stale:nth=999",
-                          read_cache=False)
+                          config=PAPER)
         assert clean.status == "ok"
         assert chaotic_results == capture.results
 
@@ -172,8 +174,6 @@ class TestChaosReplay:
         def probe(ctx):
             _chaos_probe(ctx)
 
-        first = run_chaos(probe, seed=11, faults=STALE_PLAN,
-                          read_cache=True)
-        second = run_chaos(probe, seed=11, faults=STALE_PLAN,
-                          read_cache=True)
+        first = run_chaos(probe, seed=11, faults=STALE_PLAN, config=CACHED)
+        second = run_chaos(probe, seed=11, faults=STALE_PLAN, config=CACHED)
         assert chaos_report_json(first) == chaos_report_json(second)

@@ -1,9 +1,11 @@
 """The chaos harness end to end: survive the default plan, replay it."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import FAST, PAPER
 from repro.faults.chaos import (
     DEFAULT_PLAN,
     chaos_report_json,
@@ -250,9 +252,9 @@ class TestWireFaultReplayPins:
 
     @pytest.mark.parametrize(("workload", "seed"), sorted(PINS))
     def test_replays_to_the_pinned_cursor_and_digest(self, workload, seed):
-        knobs = ({"write_behind": True, "read_cache": True,
-                  "binder_ring": True} if workload == "writeburst" else {})
-        result = run_chaos(workload, seed=seed, faults=self.PLAN, **knobs)
+        config = FAST if workload == "writeburst" else PAPER
+        result = run_chaos(workload, seed=seed, faults=self.PLAN,
+                           config=config)
         fired = [(f["site"], f["occurrence"], f["ts_ns"])
                  for f in result.faults["fired"]]
         spans = [(r.get("type"), r.get("kind"), r.get("name"),
@@ -334,12 +336,10 @@ class TestWindowFaultReplayPins:
 
     @classmethod
     def observe(cls, workload, cvms, recovery, seed):
-        knobs = {"write_behind": True, "binder_ring": True,
-                 "read_cache": True, "cvms": cvms}
-        if cvms > 1:
-            knobs["placement"] = "by-uid"
+        config = replace(FAST, cvms=cvms,
+                         placement="by-uid" if cvms > 1 else None)
         result = run_chaos(workload, seed=seed, faults=cls.PLAN,
-                           recovery=recovery, **knobs)
+                           recovery=recovery, config=config)
         fired = [(f["site"], f["occurrence"], f["ts_ns"])
                  for f in result.faults["fired"]]
         records = [sorted(dict(r).items()) for r in result.records]

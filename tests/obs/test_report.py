@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core.config import DelegationConfig
 from repro.obs.export import make_trace_id, to_chrome_trace
 from repro.obs.report import _nest, analyze, report_json
 from repro.obs.runner import run_traced
@@ -152,8 +153,8 @@ class TestAnalyze:
 class TestDeterminism:
     @pytest.fixture(scope="class")
     def real_trace(self):
-        result = run_traced("writeburst", read_cache=True,
-                            write_behind=True)
+        result = run_traced("writeburst", config=DelegationConfig(
+            read_cache=True, async_delegation=True))
         return to_chrome_trace(
             result.records,
             trace_id=make_trace_id("writeburst", 0),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.app import App, AppManifest
+from repro.core.config import DelegationConfig
 from repro.errors import SyscallError
 from repro.faults.chaos import chaos_report_json, run_chaos
 from repro.kernel import vfs
@@ -183,16 +184,19 @@ class TestAsyncSyncEquivalence:
         assert shallow == deep
 
 
-def _chaos_replayed(workload, faults, **kwargs):
-    first = run_chaos(workload, seed=3, faults=faults, **kwargs)
-    second = run_chaos(workload, seed=3, faults=faults, **kwargs)
+WRITE_BEHIND = DelegationConfig(async_delegation=True)
+
+
+def _chaos_replayed(workload, faults, config):
+    first = run_chaos(workload, seed=3, faults=faults, config=config)
+    second = run_chaos(workload, seed=3, faults=faults, config=config)
     return first, chaos_report_json(first), chaos_report_json(second)
 
 
 class TestFaultPlanDeterminism:
     def test_ring_corrupt_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "ring.corrupt:nth=2", write_behind=True
+            "writeburst", "ring.corrupt:nth=2", WRITE_BEHIND
         )
         assert a == b
         assert result.status == "ok"  # recovery retried the window
@@ -200,13 +204,13 @@ class TestFaultPlanDeterminism:
     def test_cache_stale_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
             "writeburst", "cache.stale:nth=1",
-            write_behind=True, read_cache=True,
+            DelegationConfig(async_delegation=True, read_cache=True),
         )
         assert a == b
 
     def test_wb_error_surfaces_deterministically(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "wb.error:nth=2:errno=ENOSPC", write_behind=True
+            "writeburst", "wb.error:nth=2:errno=ENOSPC", WRITE_BEHIND
         )
         assert a == b
         assert result.status == "syscall-error"
@@ -214,7 +218,7 @@ class TestFaultPlanDeterminism:
 
     def test_wb_reap_loss_recovers_and_replays(self):
         result, a, b = _chaos_replayed(
-            "writeburst", "wb.reap-loss:nth=1", write_behind=True
+            "writeburst", "wb.reap-loss:nth=1", WRITE_BEHIND
         )
         assert a == b
         assert result.status == "ok"

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SyscallError
 from repro.android.app import App, AppManifest
+from repro.core.config import DelegationConfig
 from repro.faults.chaos import chaos_report_json, run_chaos
 from repro.world import AnceptionWorld, NativeWorld
 
@@ -186,16 +187,19 @@ class TestBatchedSyncEquivalence:
         assert shallow == deep
 
 
-def _chaos_replayed(workload, faults, **kwargs):
-    first = run_chaos(workload, seed=3, faults=faults, **kwargs)
-    second = run_chaos(workload, seed=3, faults=faults, **kwargs)
+BINDER_RING = DelegationConfig(binder_ring=True)
+
+
+def _chaos_replayed(workload, faults, config):
+    first = run_chaos(workload, seed=3, faults=faults, config=config)
+    second = run_chaos(workload, seed=3, faults=faults, config=config)
     return first, chaos_report_json(first), chaos_report_json(second)
 
 
 class TestBinderFaultDeterminism:
     def test_binder_drop_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
-            "binderburst", "binder.drop:nth=2", binder_ring=True
+            "binderburst", "binder.drop:nth=2", BINDER_RING
         )
         assert a == b
         # A dropped oneway surfaces as a deferred errno at the next
@@ -204,8 +208,7 @@ class TestBinderFaultDeterminism:
 
     def test_binder_drop_custom_errno_surfaces(self):
         result, a, b = _chaos_replayed(
-            "binderburst", "binder.drop:nth=1:errno=ENOBUFS",
-            binder_ring=True,
+            "binderburst", "binder.drop:nth=1:errno=ENOBUFS", BINDER_RING,
         )
         assert a == b
         assert result.status == "syscall-error"
@@ -213,14 +216,14 @@ class TestBinderFaultDeterminism:
 
     def test_binder_reorder_replays_byte_identically(self):
         result, a, b = _chaos_replayed(
-            "binderburst", "binder.reorder:nth=1", binder_ring=True
+            "binderburst", "binder.reorder:nth=1", BINDER_RING
         )
         assert a == b
         assert result.stats["binder_ring"]["reordered"] >= 1
 
     def test_binder_reply_loss_recovers_and_replays(self):
         result, a, b = _chaos_replayed(
-            "binderburst", "binder.reply-loss:nth=1", binder_ring=True
+            "binderburst", "binder.reply-loss:nth=1", BINDER_RING
         )
         assert a == b
         assert result.status == "ok"

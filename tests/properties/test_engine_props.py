@@ -17,10 +17,12 @@ speedup, so two families of properties pin it:
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import FAST
 from repro.errors import SyscallError
 from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
@@ -83,8 +85,8 @@ def _digest(workload, cvms, binder_ring=False):
     whole window, so the digest covers the *instrumented* code path —
     the one the dormant fast paths must never diverge from.
     """
-    world, ctx = boot_obs_world(read_cache=True, write_behind=True,
-                                binder_ring=binder_ring, cvms=cvms)
+    world, ctx = boot_obs_world(
+        replace(FAST, binder_ring=binder_ring, cvms=cvms))
     fn = TRACE_WORKLOADS[workload]
     clock = world.clock
     marker = clock.enable_trace()
@@ -115,8 +117,7 @@ def test_sim_digest_matches_binder_window_pin(workload, cvms):
 def test_dormant_binder_windows_elapse_identical_sim_time():
     """Untraced binder-window drains land on the traced nanosecond."""
     for cvms in (1, 4):
-        world, ctx = boot_obs_world(read_cache=True, write_behind=True,
-                                    binder_ring=True, cvms=cvms)
+        world, ctx = boot_obs_world(replace(FAST, cvms=cvms))
         start = world.clock.now_ns
         _iterate(ctx, "binderburst", 1)
         _iterate(ctx, "binderburst", 1)
@@ -132,7 +133,7 @@ def test_dormant_run_elapses_identical_sim_time():
     must land on the same nanosecond as the instrumented walk.
     """
     for workload in ("fileops", "batchio", "writeburst"):
-        world, ctx = boot_obs_world(read_cache=True, write_behind=True)
+        world, ctx = boot_obs_world(replace(FAST, binder_ring=False))
         start = world.clock.now_ns
         _iterate(ctx, workload, 1)
         _iterate(ctx, workload, 1)

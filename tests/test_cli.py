@@ -1,8 +1,13 @@
 """The ``anception`` CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import COMMANDS, main
+from repro.core.config import FAST
+from repro.obs.runner import boot_obs_world
+from repro.world import AnceptionWorld, NativeWorld, _World
 
 
 class TestCli:
@@ -127,3 +132,65 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ptrace" in out
         assert "shared-pages" in out
+
+
+class TestSnapshotResume:
+    NON_DEFAULT = ["--no-write-behind", "--ring-depth", "8",
+                   "--cache-pages", "64", "--cvms", "2",
+                   "--placement", "by-trust-class"]
+
+    @staticmethod
+    def _write(tmp_path, world, meta):
+        path = tmp_path / "world.snap"
+        path.write_bytes(world.snapshot(meta=meta))
+        return str(path)
+
+    def test_round_trip_under_non_default_config(self, capsys, tmp_path):
+        path = str(tmp_path / "world.snap")
+        assert main(["snapshot", "write4k", *self.NON_DEFAULT,
+                     "--out", path]) == 0
+        with open(path, "rb") as handle:
+            restored = _World.restore(handle.read())
+        assert restored.anception.config == replace(
+            FAST, async_delegation=False, ring_depth=8, cache_pages=64,
+            cvms=2, placement="by-trust-class")
+        assert main(["resume", path, "--verify"]) == 0
+        assert "verify: resume=boot digest" in capsys.readouterr().err
+
+    def test_negative_warmup_is_refused_at_snapshot(self, tmp_path):
+        path = str(tmp_path / "world.snap")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["snapshot", "write4k", "--warmup", "-1", "--out", path])
+        assert str(excinfo.value.code).startswith(
+            "anception: error: --warmup must be >= 0")
+        assert not (tmp_path / "world.snap").exists()
+
+    def test_stale_knob_meta_is_ignored(self, tmp_path):
+        world, _ctx = boot_obs_world()
+        path = self._write(tmp_path, world, {
+            "workload": "write4k", "warmup": 0, "knobs": {"bogus": 1}})
+        assert main(["resume", path, "--verify"]) == 0
+
+    @pytest.mark.parametrize("meta, key", [
+        ({"workload": "nope"}, "workload"),
+        ({"workload": 5}, "workload"),
+        ({"workload": "write4k", "warmup": "2"}, "warmup"),
+        ({"workload": "write4k", "warmup": -1}, "warmup"),
+        ({"workload": "write4k", "warmup": 1.0}, "warmup"),
+        ({"workload": "write4k", "warmup": True}, "warmup"),
+    ])
+    def test_malformed_meta_is_a_clean_error(self, tmp_path, meta, key):
+        world, _ctx = boot_obs_world()
+        path = self._write(tmp_path, world, meta)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", path, "--verify"])
+        assert str(excinfo.value.code).startswith(
+            f"anception: error: snapshot meta {key} ")
+
+    @pytest.mark.parametrize("make", [NativeWorld, AnceptionWorld])
+    def test_world_without_a_launched_app_is_a_clean_error(self, tmp_path,
+                                                          make):
+        path = self._write(tmp_path, make(), {"workload": "write4k"})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", path, "--verify"])
+        assert "holds no launched app" in str(excinfo.value.code)
