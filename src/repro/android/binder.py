@@ -23,6 +23,7 @@ import errno
 
 from repro.errors import SyscallError
 from repro.obs.bus import maybe_span
+from repro.obs.ringlog import LOG_LIMIT, RingLog
 
 
 def encoded_size(value):
@@ -58,10 +59,9 @@ DELEGATED_BINDER_REQUESTS = frozenset({"BINDER_WRITE_READ"})
 must have marshal coverage and a differential script (or a documented
 exemption) — enforced by ``tests/core/test_syscall_conformance.py``."""
 
-TRANSACTION_LOG_LIMIT = 512
-"""Default bound on ``BinderDriver.transaction_log``.  Long soak
-workloads push millions of transactions; an unbounded list is a memory
-leak dressed up as an audit trail."""
+TRANSACTION_LOG_LIMIT = LOG_LIMIT
+"""Default bound on ``BinderDriver.transaction_log``: long soak
+workloads push millions of transactions."""
 
 
 class Transaction:
@@ -121,53 +121,6 @@ class ServiceManager:
         return [self._services[name] for name in self.names()]
 
 
-class TransactionLog:
-    """Bounded ring of ``(pid, target, method)`` tuples.
-
-    Keeps the list-like surface the test suite and tooling use
-    (iteration, membership, indexing, ``len``) while dropping the oldest
-    entries past ``limit`` and counting what fell off the end.
-    """
-
-    __snapshot__ = "auto"
-
-    def __init__(self, limit=TRANSACTION_LOG_LIMIT):
-        self.limit = int(limit)
-        self._entries = []
-        self.dropped = 0
-
-    def append(self, entry):
-        self._entries.append(entry)
-        if len(self._entries) > self.limit:
-            excess = len(self._entries) - self.limit
-            del self._entries[:excess]
-            self.dropped += excess
-
-    def clear(self):
-        self._entries.clear()
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __contains__(self, entry):
-        return entry in self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __getitem__(self, index):
-        return self._entries[index]
-
-    def __eq__(self, other):
-        if isinstance(other, TransactionLog):
-            return self._entries == other._entries
-        return self._entries == other
-
-    def __repr__(self):
-        return (f"TransactionLog({self._entries!r}, "
-                f"dropped={self.dropped})")
-
-
 class BinderDriver:
     """The ``/dev/binder`` device node.
 
@@ -183,7 +136,9 @@ class BinderDriver:
         self.kernel = kernel
         self.service_manager = service_manager
         self.ui_stack = ui_stack
-        self.transaction_log = TransactionLog(log_limit)
+        self.transaction_log = RingLog(log_limit)
+        self.transactions = {"ui": 0, "delegated": 0}
+        """Transactions executed, by whether the target is a UI service."""
         self.oneway_errors = 0
 
     @property
@@ -236,6 +191,7 @@ class BinderDriver:
             cost = self.kernel.costs.binder_oneway_ns
         else:
             cost = self.kernel.costs.binder_transaction_ns
+        self.transactions["ui" if service.ui_related else "delegated"] += 1
         with maybe_span(
             self.kernel.clock, "binder-txn",
             f"{transaction.target}.{transaction.method}", task=task,

@@ -27,9 +27,6 @@ class SimClock:
 
     def __init__(self, start_ns=0):
         self._now_ns = int(start_ns)
-        self._charges = []
-        self._charge_base = 0
-        self._trace_depth = 0
         self._lane_busy = {}
         self._overlap_lane = None
         self._overlap_cursor = 0
@@ -55,7 +52,7 @@ class SimClock:
 
         Args:
             delta_ns: non-negative duration to add.
-            reason: short label recorded when tracing is enabled.
+            reason: short label a bus capture records with the charge.
         """
         delta_ns = int(delta_ns)
         if delta_ns < 0:
@@ -63,7 +60,7 @@ class SimClock:
         # Fast path: :meth:`quiet`, written out inline because
         # ``advance`` dominates call counts.  An advance nobody observes
         # is one integer add.
-        if self._overlap_lane is None and not self._trace_depth:
+        if self._overlap_lane is None:
             bus = self.bus
             if bus is None or not bus._depth:
                 self._now_ns += delta_ns
@@ -74,8 +71,6 @@ class SimClock:
             # the lane (the CVM) works.  ``wait_for`` reconciles at fences.
             self._overlap_cursor += delta_ns
             if delta_ns:
-                if self._trace_depth:
-                    self._charges.append((reason or "unlabelled", delta_ns))
                 bus = self.bus
                 if bus is not None and bus.enabled:
                     bus.on_charge(
@@ -84,8 +79,6 @@ class SimClock:
             return
         self._now_ns += delta_ns
         if delta_ns:
-            if self._trace_depth:
-                self._charges.append((reason or "unlabelled", delta_ns))
             bus = self.bus
             if bus is not None and bus.enabled:
                 bus.on_charge(reason or "unlabelled", delta_ns, self._now_ns)
@@ -93,63 +86,13 @@ class SimClock:
     def quiet(self):
         """True when nobody can observe an individual charge.
 
-        No overlap window redirects it, no charge trace records it and
-        no bus capture sees it, so a hot path may bill its exact
-        integer sum straight into ``_now_ns`` instead of one labelled
-        :meth:`advance` per charge.  This is the single dormant test;
+        No overlap window redirects it and no bus capture sees it, so a
+        hot path may bill its exact integer sum straight into ``_now_ns``
+        instead of one labelled :meth:`advance` per charge.  This is the single dormant test;
         :meth:`advance` carries the one inline copy.
         """
         bus = self.bus
-        return (self._overlap_lane is None and not self._trace_depth
-                and (bus is None or not bus._depth))
-
-    @property
-    def _trace_enabled(self):
-        return self._trace_depth > 0
-
-    def enable_trace(self):
-        """Start (or nest into) charge recording; returns a marker.
-
-        Calls nest: an inner ``enable_trace``/``disable_trace`` pair
-        leaves an outer caller's in-progress trace intact.  The returned
-        marker can be passed to :meth:`charges_since` to read only the
-        charges recorded after this call.
-        """
-        self._trace_depth += 1
-        if self._trace_depth == 1:
-            self._charges = []
-            self._charge_base = 0
-        return self._charge_base + len(self._charges)
-
-    def disable_trace(self):
-        """Leave one level of charge recording (never below zero)."""
-        if self._trace_depth > 0:
-            self._trace_depth -= 1
-
-    def charges_since(self, marker):
-        """Charges recorded since ``marker`` (from :meth:`enable_trace`).
-
-        Markers are *absolute* positions in the charge stream: a
-        :meth:`drain_trace` between ``enable_trace`` and this call
-        rebases rather than invalidates them, so a nested tracer never
-        reads another window's charges by a stale index.  Charges the
-        drain already consumed are gone — only the still-recorded tail
-        of the marker's window is returned.
-        """
-        return list(self._charges[max(0, marker - self._charge_base):])
-
-    def drain_trace(self):
-        """Return and clear the recorded charges.
-
-        Draining while other tracers hold :meth:`enable_trace` markers
-        used to silently corrupt their :meth:`charges_since` slices
-        (markers indexed a list that just shrank).  Markers are now
-        rebased through ``_charge_base``, so nested windows keep
-        resolving to the correct charges after a drain.
-        """
-        charges, self._charges = self._charges, []
-        self._charge_base += len(charges)
-        return charges
+        return self._overlap_lane is None and (bus is None or not bus._depth)
 
     def measure(self):
         """Return a context manager measuring elapsed simulated time.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import errno
 import sys
+from collections import defaultdict
 
 from repro.core.channel import AnceptionChannel
 from repro.core.cvm import ContainerVM
@@ -42,10 +43,12 @@ from repro.errors import (
     SyscallError,
 )
 from repro.kernel.loader import run_payload
-from repro.kernel.memory import MAP_ANONYMOUS
+from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED, page_count
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
 from repro.obs.bus import maybe_event, maybe_span
+from repro.obs.metrics import retire_lane
+from repro.obs.ringlog import RingLog
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -60,6 +63,10 @@ _WRITE_CALLS = ("write", "pwrite64")
 """Delegated calls whose CVM result is held to the byte-count contract;
 the writes are also the calls an explicit batch window queues, since
 their results are known up front."""
+
+_UNMAP_CALLS = ("munmap", "exit", "exit_group")
+"""Host-class calls that end split file mappings (see
+:meth:`AnceptionLayer._unmap_files`)."""
 
 marshal_call_into = marshal_call
 """Former name of the synchronous-submit encoder, kept only because
@@ -127,13 +134,16 @@ class AnceptionLayer:
         self.recovery_log = []
         """(action, detail) pairs for every recovery step taken."""
         self.fd_tables = {}
-        self.blocked_calls = []
-        self.killed_apps = []
-        self.decision_log = []
+        self.decisions = defaultdict(int)
+        """Decision value -> calls routed that way."""
+        self.decision_log = RingLog()
+        """The newest ``(pid, call, Decision)`` routings."""
+        self.blocked_calls = RingLog()
+        self.killed_apps = RingLog()
         self.crypto_fs = None
         self.iago_verify = False
         self._file_mappings = {}
-        """(host_pid, base) -> (host_fd, file_offset, length) for
+        """host pid -> {base: (host_fd, file_offset, length)} for live
         file-backed split mmaps; consulted by the msync write-back."""
         self._root = Credentials(ROOT_UID)
         self.host_kernel.interposition = self
@@ -281,6 +291,9 @@ class AnceptionLayer:
     def dispatch(self, task, name, args, kwargs):
         table = self._fd_table(task)
         decision = self.policy.decide(task, name, args, table.remote_fds())
+        # ``_value_`` is the enum's plain value slot: a str key hashes
+        # in C, the ``value`` property and enum hashing do not.
+        self.decisions[decision._value_] += 1
         self.decision_log.append((task.pid, name, decision))
         if decision is Decision.BLOCK:
             self.blocked_calls.append((task.pid, name))
@@ -289,7 +302,15 @@ class AnceptionLayer:
                         decision=decision.value)
             raise SyscallError(errno.EPERM, "blocked by Anception", call=name)
         if decision is Decision.HOST:
-            return self.host_kernel.execute_native(task, name, args, kwargs)
+            result = self.host_kernel.execute_native(task, name, args, kwargs)
+            if name in _UNMAP_CALLS:
+                # Host-class, but a split mapping's write-back state must
+                # end with the pages (or the process) it described.
+                if name == "munmap":
+                    self._unmap_files(task, *args[:2])
+                else:
+                    self._unmap_files(task)
+            return result
         if name == "shmdt":
             # statically redirect-class, but the live attachment spans
             # both kernels and must be torn down on both
@@ -1193,8 +1214,9 @@ class AnceptionLayer:
             if data:
                 task.address_space.write(base, data, need_prot=0)
             self._mirror_reservation(task, length, prot, flags,
-                                     addr if flags & 0x10 else base)
-            self._file_mappings[(task.pid, base)] = (fd, offset, length)
+                                     addr if flags & MAP_FIXED else base)
+            self._file_mappings.setdefault(task.pid, {})[base] = (
+                fd, offset, length)
             return base
         # Anonymous (or host-file) mapping: host executes; mirror shape.
         result = self.host_kernel.execute_native(
@@ -1207,8 +1229,6 @@ class AnceptionLayer:
     def _mirror_reservation(self, task, length, prot, flags, addr):
         if addr is None:
             return
-        from repro.kernel.memory import MAP_FIXED
-
         proxy = self._lane(task).proxies.proxy_for(task)
         space = proxy.guest_task.address_space
         try:
@@ -1242,10 +1262,37 @@ class AnceptionLayer:
         return 0
 
     def _find_file_mapping(self, task, addr):
-        for (pid, base), info in self._file_mappings.items():
-            if pid == task.pid and base <= addr < base + info[2]:
+        for base, info in self._file_mappings.get(task.pid, {}).items():
+            if base <= addr < base + info[2]:
                 return base, info
         return None
+
+    def _unmap_files(self, task, addr=None, length=None):
+        """End the write-back state of split mappings that went away.
+
+        ``munmap`` ends the pages it covers (a mapping cut in the middle
+        keeps its outer pieces); ``exit`` and ``execve`` end every
+        mapping of the process.
+        """
+        mappings = self._file_mappings.get(task.pid)
+        if not mappings:
+            return
+        if addr is None:
+            del self._file_mappings[task.pid]
+            return
+        low = addr - addr % PAGE_SIZE
+        high = low + page_count(length) * PAGE_SIZE
+        for base, (fd, offset, size) in list(mappings.items()):
+            end = base + size
+            if end <= low or base >= high:
+                continue
+            del mappings[base]
+            if base < low:
+                mappings[base] = (fd, offset, low - base)
+            if high < end:
+                mappings[high] = (fd, offset + high - base, end - high)
+        if not mappings:
+            del self._file_mappings[task.pid]
 
     def _split_shmat(self, task, shmid):
         """Split shmat: content frames on the host, id from the CVM.
@@ -1295,20 +1342,21 @@ class AnceptionLayer:
 
     def _split_execve(self, task, path, argv=()):
         """Exec: host copy for system binaries, exec-cache for user code."""
-        if self.policy.is_code_path(task, path) or path.startswith("/system"):
-            return self.host_kernel.execute_native(
-                task, "execve", (path, argv), {}
-            )
-        # User-generated code lives in the CVM: copy out, stage, exec.
-        try:
-            data = self._lane(task).cvm.read_out_file(self._abs(task, path))
-        except SyscallError as exc:
-            raise SyscallError(exc.errno, f"exec source {path}",
-                               call="execve") from exc
-        cache_path = self.exec_cache.stage(path, data)
-        return self.host_kernel.execute_native(
-            task, "execve", (cache_path, argv), {}
+        if not (self.policy.is_code_path(task, path)
+                or path.startswith("/system")):
+            # User-generated code lives in the CVM: copy out, stage, exec.
+            try:
+                data = self._lane(task).cvm.read_out_file(
+                    self._abs(task, path))
+            except SyscallError as exc:
+                raise SyscallError(exc.errno, f"exec source {path}",
+                                   call="execve") from exc
+            path = self.exec_cache.stage(path, data)
+        image = self.host_kernel.execute_native(
+            task, "execve", (path, argv), {}
         )
+        self._unmap_files(task)
+        return image
 
     @staticmethod
     def _abs(task, path):
@@ -1354,10 +1402,13 @@ class AnceptionLayer:
         died) and every surviving app on the lane gets a fresh proxy in
         the new container.  All lane-held transport state re-arms
         through :meth:`_bind_lane` — the same choke point boot uses —
-        so nothing stale can survive the swap.
+        so nothing stale can survive the swap.  The counts of the
+        objects it replaces are folded into ``lane.retired`` first, so
+        no counter goes down.
         """
         if lane is None:
             lane = self.pool.default_lane
+        retire_lane(lane)
         lane.cvm.reboot()
         self._bind_lane(lane)
         survivors = [
@@ -1784,15 +1835,12 @@ class AnceptionLayer:
         fleet-wide sums and two extra keys appear: ``pool`` (placement
         and residency) and ``per_cvm`` (the per-lane breakdown).
         """
-        decisions = {}
-        for _pid, _name, decision in self.decision_log:
-            decisions[decision.value] = decisions.get(decision.value, 0) + 1
         lanes = self.pool.lanes
         summary = {
-            "decisions": decisions,
+            "decisions": dict(self.decisions),
             "proxies": sum(lane.proxies.count for lane in lanes),
-            "blocked_calls": len(self.blocked_calls),
-            "killed_apps": len(self.killed_apps),
+            "blocked_calls": self.blocked_calls.total,
+            "killed_apps": self.killed_apps.total,
             "channel": self._agg([lane.channel.stats() for lane in lanes]),
             "read_cache": (
                 self._agg([lane.page_cache.stats() for lane in lanes])

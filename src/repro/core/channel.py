@@ -57,6 +57,10 @@ class AnceptionChannel:
         self.complete_ring = DelegationRing("complete", self, self.ring_depth)
         self.bytes_to_guest = 0
         self.bytes_to_host = 0
+        self.refused_bytes = {"to-guest": 0, "to-host": 0}
+        """Bytes carried by transfers the reader refused."""
+        self.chunks = {"to-guest": 0, "to-host": 0}
+        """Chunks billed per direction, refused transfers included."""
         self.transfers = 0
         self.integrity_failures = 0
         self._bulk_depth = 0
@@ -118,6 +122,7 @@ class AnceptionChannel:
         full_chunks, tail = divmod(delivered, PAGE_SIZE)
         # An empty transfer still pays one (empty) chunk.
         chunks = full_chunks + (1 if tail or not delivered else 0)
+        self.chunks[direction] += chunks
         if inbound and self._bulk_depth:
             label = "channel:bulk-copy"
             full_ns = tail_ns = costs.wb_drain_page_ns
@@ -147,6 +152,7 @@ class AnceptionChannel:
                     )
         if corrupt or delivered != size:
             self.integrity_failures += 1
+            self.refused_bytes[direction] += size
             raise ChannelIntegrityError(direction, size, delivered)
         if inbound:
             self.bytes_to_guest += size

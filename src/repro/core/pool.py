@@ -48,7 +48,7 @@ class CVMLane:
 
     __slots__ = ("cvm_id", "cvm", "channel", "proxies", "page_cache",
                  "cache_paths", "inflight", "write_behind", "binder_ring",
-                 "shm_shadows", "shm_attach_map")
+                 "shm_shadows", "shm_attach_map", "retired")
 
     def __init__(self, cvm_id):
         self.cvm_id = cvm_id
@@ -67,6 +67,9 @@ class CVMLane:
         """CVM shmid -> host shadow segment id (split shmat)."""
         self.shm_attach_map = {}
         """(host pid, base) -> CVM shmid for live attachments."""
+        self.retired = {}
+        """Counter totals of the lane objects earlier reboots replaced
+        (see :func:`repro.obs.metrics.retire_lane`)."""
 
     @property
     def name(self):

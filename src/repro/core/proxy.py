@@ -40,7 +40,6 @@ class Proxy:
     def __init__(self, host_task, guest_task):
         self.host_task = host_task
         self.guest_task = guest_task
-        self.calls_executed = 0
 
     @property
     def pid(self):
@@ -68,6 +67,9 @@ class ProxyManager:
     def __init__(self, cvm):
         self.cvm = cvm
         self._by_host_pid = {}
+        self.executed = 0
+        """Forwarded calls run on the guest kernel, across every proxy
+        this manager has held (removed and respawned ones included)."""
 
     def create_proxy(self, host_task):
         """Mirror ``host_task`` into the container."""
@@ -140,21 +142,19 @@ class ProxyManager:
                 "proxy process is dead",
             )
         guest_task.state = TaskState.RUNNING
+        self.executed += 1
         try:
             bus = clock.bus
             if bus is None or not bus._depth:
-                result = self.cvm.kernel.syscall(
+                return self.cvm.kernel.syscall(
                     guest_task, name, *args, **kwargs
                 )
-            else:
-                with maybe_span(clock, "proxy",
-                                f"execute:{name}", task=guest_task,
-                                kernel=self.cvm.kernel.label):
-                    result = self.cvm.kernel.syscall(
-                        guest_task, name, *args, **kwargs
-                    )
-            proxy.calls_executed += 1
-            return result
+            with maybe_span(clock, "proxy",
+                            f"execute:{name}", task=guest_task,
+                            kernel=self.cvm.kernel.label):
+                return self.cvm.kernel.syscall(
+                    guest_task, name, *args, **kwargs
+                )
         finally:
             if guest_task.is_alive():
                 guest_task.state = TaskState.SLEEPING

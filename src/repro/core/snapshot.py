@@ -67,7 +67,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 """Blob layout version.  2: ring descriptors, pending calls and staged
 window entries carry wire *sizes* instead of wire bytes.  3: both async
 window kinds are one ``repro.core.windows.AsyncWindows`` class with one
@@ -75,7 +75,10 @@ entry type, and the pool drops its rebalance counter.  4: the clock
 drops its wall-profiler slot and the Anception layer its channel-page
 and ring-batching fields.  5: the layer's lane settings are one
 ``repro.core.config.DelegationConfig``, and the CLI's meta no longer
-records them.  Older blobs are refused."""
+records them.  6: components own their counters (kernel syscall and
+page-fault counts, per-lane ``retired`` totals), the layer's logs are
+bounded ``RingLog`` rings, and the clock drops its legacy charge
+recorder.  Older blobs are refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the

@@ -127,7 +127,7 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
         world.anception.recovery = RecoveryPolicy.chaos_default()
     engine = FaultEngine(plan, seed=seed)
     engine.arm(world.clock)
-    metrics = MetricsRegistry()
+    metrics = MetricsRegistry(world)
     records = []
     status, error = "ok", None
 

@@ -130,10 +130,15 @@ class LguestHypervisor:
         self.guest_kernel = None
         self.hypercall_count = 0
         self.interrupt_count = 0
-        self.coalesced_doorbells = 0
-        """Doorbells that retired more than one ring descriptor."""
+        self.coalesced = {"host->guest": 0, "guest->host": 0}
+        """Doorbells that retired more than one ring descriptor, by
+        direction."""
         self.descriptors_retired = 0
         """Total ring descriptors retired across all doorbells."""
+
+    @property
+    def coalesced_doorbells(self):
+        return sum(self.coalesced.values())
 
     @property
     def guest_window(self):
@@ -203,7 +208,7 @@ class LguestHypervisor:
         """Doorbell-coalescing accounting: one ring, N descriptors."""
         self.descriptors_retired += coalesced
         if coalesced > 1:
-            self.coalesced_doorbells += 1
+            self.coalesced[direction] += 1
             maybe_event(self.machine.clock, "doorbell-coalesced",
                         f"{direction}:{reason}", kernel="hypervisor",
                         direction=direction, coalesced=coalesced)
@@ -227,7 +232,7 @@ class LguestHypervisor:
             # time, none of the span/reason-string construction.
             self.descriptors_retired += coalesced
             if coalesced > 1:
-                self.coalesced_doorbells += 1
+                self.coalesced["guest->host"] += 1
             clock._now_ns += self.machine.costs.world_switch_ns
             return True
         self._account_doorbell(reason, coalesced, "guest->host")
@@ -254,7 +259,7 @@ class LguestHypervisor:
         if engine is None and clock.quiet():
             self.descriptors_retired += coalesced
             if coalesced > 1:
-                self.coalesced_doorbells += 1
+                self.coalesced["host->guest"] += 1
             self.interrupt_count += 1
             clock._now_ns += self.machine.costs.world_switch_ns
             return True

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import errno
 import posixpath
+from collections import defaultdict
 
 from repro.errors import (
     ReproError,
@@ -166,7 +167,13 @@ class Kernel:
         self.log_device = None
         self.syscall_log = []
         self.syscall_log_enabled = False
-        self.blocked_call_attempts = []
+        self.syscall_counts = {"anception": defaultdict(int),
+                               "native": defaultdict(int)}
+        """disposition -> call -> traps taken; disposition is
+        ``anception`` for a redirected task, else ``native``.  Keyed
+        by plain strings so the trap path builds no key tuple."""
+        self.page_faults = 0
+        """Pages faulted in by mmap and execve."""
         self.vulnerabilities = {}
         self.nproc_limits = {}
         """Per-UID RLIMIT_NPROC values; absent means unlimited.  The
@@ -298,6 +305,10 @@ class Kernel:
             else:
                 clock.advance(self.costs.syscall_base_ns,
                               f"syscall:{name}")
+            redirected = (self.interposition is not None
+                          and task.redirection_entry)
+            disposition = "anception" if redirected else "native"
+            self.syscall_counts[disposition][name] += 1
             faults = getattr(self.clock, "faults", None)
             if faults is not None:
                 faults.perturb_syscall(self, task, name)
@@ -305,18 +316,12 @@ class Kernel:
                 self.policy_monitor.inspect(self, task, name, args)
             if self.interposition is not None:
                 self.clock.advance(self.costs.asim_check_ns, "asim-check")
-                if task.redirection_entry:
-                    if self.syscall_log_enabled:
-                        self.syscall_log.append(
-                            (task.pid, name, "anception", args)
-                        )
-                    if span is not NULL_SPAN:
-                        span.set(disposition="anception")
-                    return self.interposition.dispatch(task, name, args, kwargs)
             if self.syscall_log_enabled:
-                self.syscall_log.append((task.pid, name, "native", args))
+                self.syscall_log.append((task.pid, name, disposition, args))
             if span is not NULL_SPAN:
-                span.set(disposition="native")
+                span.set(disposition=disposition)
+            if redirected:
+                return self.interposition.dispatch(task, name, args, kwargs)
             return self.execute_native(task, name, args, kwargs)
         finally:
             self.current = previous
@@ -581,6 +586,7 @@ class Kernel:
         task.name = posixpath.basename(path)
         task.argv = tuple(argv)
         self._charge(self.costs.page_fault_ns * image.text_pages, "execve")
+        self.page_faults += image.text_pages
         maybe_event(self.clock, "page-fault", "execve", task=task,
                     kernel=self.label, pages=image.text_pages)
         return image
@@ -633,7 +639,6 @@ class Kernel:
 
     def _deny_privileged(self, task, *args):
         """System-management calls: denied to apps on stock Android too."""
-        self.blocked_call_attempts.append((task.pid, "privileged-call"))
         raise SyscallError(errno.EPERM, "system management call",
                            call="privileged")
 
@@ -992,11 +997,11 @@ class Kernel:
 
     def _do_mmap(self, task, length, prot, flags, addr=None, fd=None,
                  offset=0):
-        self._charge(
-            self.costs.page_fault_ns * max(1, page_count(length)), "mmap"
-        )
+        pages = max(1, page_count(length))
+        self._charge(self.costs.page_fault_ns * pages, "mmap")
+        self.page_faults += pages
         maybe_event(self.clock, "page-fault", "mmap", task=task,
-                    kernel=self.label, pages=max(1, page_count(length)))
+                    kernel=self.label, pages=pages)
         if fd is not None:
             desc = task.get_fd(fd)
             device = getattr(desc, "inode", None)

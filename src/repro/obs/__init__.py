@@ -11,8 +11,9 @@ This package is the measurement substrate that makes such attribution a
   hypercall/IRQ injection, binder transactions), timestamped with
   *simulated* nanoseconds.  Observers never call ``clock.advance``:
   tracing on or off, the simulated elapsed time is bit-identical.
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters and fixed-bucket
-  histograms fed from the bus, snapshotable as JSON.
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters read from the
+  components that own them, fixed-bucket histograms fed from the bus,
+  snapshotable as JSON.
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and an ftrace-style text dump, both
   deterministic (per-run ``trace_id`` derived from workload + seed).
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from repro.obs.bus import NULL_SPAN, TraceBus, maybe_event, maybe_span
 from repro.obs.export import make_trace_id, to_chrome_trace, to_ftrace
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import analyze, report_json
 
 
@@ -53,7 +54,6 @@ __all__ = [
     "make_trace_id",
     "to_chrome_trace",
     "to_ftrace",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "analyze",

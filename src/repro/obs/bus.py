@@ -256,11 +256,6 @@ class TraceBus:
             self.records = []
         return window
 
-    def drain(self):
-        """Return and clear everything recorded so far."""
-        records, self.records = self.records, []
-        return records
-
     # -- emission ------------------------------------------------------------
 
     def _next_seq(self):

@@ -1,6 +1,19 @@
-"""Counters and fixed-bucket histograms fed from the trace bus.
+"""Counters read from the components, histograms fed from the trace bus.
 
-The registry is a bus sink: subscribe it, run a workload, snapshot.
+Counters have one source: the components keep plain integers (kernels,
+hypervisors, channels and their rings, proxy managers, binder drivers,
+page caches, async windows, the Anception layer's logs, the fault
+engine), and :class:`MetricsRegistry` reads them when asked.  It takes
+a baseline when it is built and reports deltas since then, so counters
+cost nothing until read and a dormant (untraced) run counts exactly
+what a traced one does.  Only the four histograms need per-record
+detail; they are fed from bus records while a capture runs.
+
+The monotone rule: no count the registry reads may go down.  A CVM
+reboot replaces its lane's channel, proxy manager, guest kernel and
+binder driver, so the layer folds their counts into ``lane.retired``
+first (:func:`retire_lane`); everything else a lane holds survives.
+
 Snapshots are plain JSON-able dicts with deterministic ordering, so two
 identical runs serialize byte-identically and CI can diff them.
 """
@@ -8,37 +21,125 @@ identical runs serialize byte-identically and CI can diff them.
 from __future__ import annotations
 
 from repro.clock import NSEC_PER_USEC
+from repro.kernel.syscalls import classify
 
 
-class Counter:
-    """A monotonically increasing counter, partitioned by label values."""
+COUNTERS = dict.fromkeys((
+    "binder_deferred_errors_total", "binder_drains_total",
+    "binder_fences_total", "binder_submits_total", "blocked_calls_total",
+    "cache_hits_total", "cache_misses_total", "irqs_total",
+    "page_faults_total", "proxy_calls_total", "ring_completes_total",
+    "ring_submits_total", "wb_deferred_errors_total", "wb_drains_total",
+    "wb_fences_total", "wb_submits_total",
+), ())
+COUNTERS.update({
+    "binder_txns_total": ("lane",),
+    "cache_fill_pages_total": ("lane",),
+    "cache_invalidations_total": ("cause",),
+    "channel_bytes_total": ("direction",),
+    "channel_chunks_total": ("direction",),
+    "doorbells_coalesced_total": ("direction",),
+    "faults_injected_total": ("site",),
+    "recoveries_total": ("action",),
+    "syscalls_total": ("sclass", "disposition"),
+    "world_switches_total": ("direction",),
+})
+"""Counter name -> label names."""
 
-    __snapshot__ = "auto"
 
-    def __init__(self, name, label_names=()):
-        self.name = name
-        self.label_names = tuple(label_names)
-        self._values = {}
+def _count(counts, name, value, *labels):
+    """Add ``value`` to one labelled counter of a flat count map."""
+    if value:
+        key = (name, labels)
+        counts[key] = counts.get(key, 0) + value
 
-    def inc(self, amount=1, **labels):
-        key = tuple(str(labels.get(label, "")) for label in self.label_names)
-        self._values[key] = self._values.get(key, 0) + amount
 
-    def value(self, **labels):
-        key = tuple(str(labels.get(label, "")) for label in self.label_names)
-        return self._values.get(key, 0)
+def _kernel(counts, kernel, binder):
+    """One kernel's traps and page faults, and its binder driver."""
+    for disposition, calls in kernel.syscall_counts.items():
+        for call, value in calls.items():
+            _count(counts, "syscalls_total", value, classify(call).value,
+                   disposition)
+    _count(counts, "page_faults_total", kernel.page_faults)
+    for lane, value in binder.transactions.items():
+        _count(counts, "binder_txns_total", value, lane)
 
-    def total(self):
-        return sum(self._values.values())
 
-    def snapshot(self):
-        return [
-            {
-                "labels": dict(zip(self.label_names, key)),
-                "value": value,
-            }
-            for key, value in sorted(self._values.items())
-        ]
+def _replaced_on_reboot(counts, lane, channel_stats):
+    """Counts held by the lane objects a reboot replaces: the channel
+    and its rings, the proxy manager, the guest kernel and its binder
+    driver."""
+    channel = lane.channel
+    for direction in ("to-guest", "to-host"):
+        carried = (channel_stats["bytes_" + direction.replace("-", "_")]
+                   + channel.refused_bytes[direction])
+        _count(counts, "channel_bytes_total", carried, direction)
+        _count(counts, "channel_chunks_total", channel.chunks[direction],
+               direction)
+    _count(counts, "ring_submits_total",
+           channel_stats["submit_ring"]["pushed"])
+    _count(counts, "ring_completes_total",
+           channel_stats["complete_ring"]["pushed"])
+    _count(counts, "proxy_calls_total", lane.proxies.executed)
+    _kernel(counts, lane.cvm.kernel, lane.cvm.android.binder_driver)
+
+
+def retire_lane(lane):
+    """Fold what a reboot is about to replace into ``lane.retired``."""
+    _replaced_on_reboot(lane.retired, lane, lane.channel.stats())
+
+
+def _lane(counts, lane):
+    for key, value in lane.retired.items():
+        counts[key] = counts.get(key, 0) + value
+    channel_stats = lane.channel.stats()
+    _replaced_on_reboot(counts, lane, channel_stats)
+    # The hypervisor survives reboots; the live channel reads it.
+    _count(counts, "world_switches_total", channel_stats["hypercalls"],
+           "guest->host")
+    _count(counts, "world_switches_total", channel_stats["interrupts"],
+           "host->guest")
+    _count(counts, "irqs_total", channel_stats["interrupts"])
+    for direction, value in lane.cvm.hypervisor.coalesced.items():
+        _count(counts, "doorbells_coalesced_total", value, direction)
+    if lane.page_cache is not None:
+        cache = lane.page_cache.stats()
+        _count(counts, "cache_hits_total", cache["hits"])
+        _count(counts, "cache_misses_total", cache["misses"])
+        _count(counts, "cache_fill_pages_total", cache["fill_pages"],
+               "demand")
+        _count(counts, "cache_fill_pages_total", cache["readahead_pages"],
+               "readahead")
+        for cause in ("write-through", "invalidated", "evicted"):
+            _count(counts, "cache_invalidations_total",
+                   cache[cause.replace("-", "_") + "_pages"], cause)
+    for windows in (lane.write_behind, lane.binder_ring):
+        if windows is not None:
+            prefix = windows.policy.prefix
+            stats = windows.stats()
+            _count(counts, f"{prefix}_submits_total", stats["enqueued"])
+            _count(counts, f"{prefix}_drains_total", stats["drains"])
+            _count(counts, f"{prefix}_fences_total", stats["fences"])
+            _count(counts, f"{prefix}_deferred_errors_total",
+                   stats["deferred_errors"])
+
+
+def read_counts(world, engine=None):
+    """Every counter of ``world`` (and of ``engine``), as a flat
+    ``{(name, label values): value}`` map of non-zero counts."""
+    counts = {}
+    _kernel(counts, world.machine.kernel, world.system.binder_driver)
+    layer = world.anception
+    if layer is not None:
+        for lane in layer.pool.lanes:
+            _lane(counts, lane)
+        _count(counts, "blocked_calls_total", layer.blocked_calls.total)
+        for action, _detail in layer.recovery_log:
+            _count(counts, "recoveries_total", 1, action)
+    if engine is not None:
+        for site, value in engine.report()["fired_by_site"].items():
+            _count(counts, "faults_injected_total", value, site)
+    return counts
 
 
 DEFAULT_LATENCY_BUCKETS_US = (
@@ -117,57 +218,20 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The standard metric set, updated from bus records."""
+    """The standard metric set of one world.
 
-    __snapshot__ = "auto"
+    Counters are read from the world's components and reported as
+    deltas since the registry was built; histograms are fed by
+    subscribing :meth:`observe_record` to the world's trace bus.
+    ``faults_injected_total`` reads the fault engine armed on the
+    world's clock when the registry is built, and keeps reading it
+    after it is disarmed.
+    """
 
-    def __init__(self):
-        self.syscalls_total = Counter(
-            "syscalls_total", ("sclass", "disposition")
-        )
-        self.world_switches_total = Counter(
-            "world_switches_total", ("direction",)
-        )
-        self.channel_bytes_total = Counter(
-            "channel_bytes_total", ("direction",)
-        )
-        self.channel_chunks_total = Counter(
-            "channel_chunks_total", ("direction",)
-        )
-        self.binder_txns_total = Counter("binder_txns_total", ("lane",))
-        self.proxy_calls_total = Counter("proxy_calls_total", ())
-        self.blocked_calls_total = Counter("blocked_calls_total", ())
-        self.irqs_total = Counter("irqs_total", ())
-        self.page_faults_total = Counter("page_faults_total", ())
-        self.faults_injected_total = Counter(
-            "faults_injected_total", ("site",)
-        )
-        self.recoveries_total = Counter("recoveries_total", ("action",))
-        self.ring_submits_total = Counter("ring_submits_total", ())
-        self.ring_completes_total = Counter("ring_completes_total", ())
-        self.doorbells_coalesced_total = Counter(
-            "doorbells_coalesced_total", ("direction",)
-        )
-        self.cache_hits_total = Counter("cache_hits_total", ())
-        self.cache_misses_total = Counter("cache_misses_total", ())
-        self.cache_fill_pages_total = Counter(
-            "cache_fill_pages_total", ("lane",)
-        )
-        self.cache_invalidations_total = Counter(
-            "cache_invalidations_total", ("cause",)
-        )
-        self.wb_submits_total = Counter("wb_submits_total", ())
-        self.wb_drains_total = Counter("wb_drains_total", ())
-        self.wb_fences_total = Counter("wb_fences_total", ())
-        self.wb_deferred_errors_total = Counter(
-            "wb_deferred_errors_total", ()
-        )
-        self.binder_submits_total = Counter("binder_submits_total", ())
-        self.binder_drains_total = Counter("binder_drains_total", ())
-        self.binder_fences_total = Counter("binder_fences_total", ())
-        self.binder_deferred_errors_total = Counter(
-            "binder_deferred_errors_total", ()
-        )
+    def __init__(self, world):
+        self.world = world
+        self.engine = world.clock.faults
+        self._baseline = read_counts(world, self.engine)
         self.syscall_latency_us = Histogram(
             "syscall_latency_us", DEFAULT_LATENCY_BUCKETS_US, unit="us"
         )
@@ -183,129 +247,46 @@ class MetricsRegistry:
             unit="transactions",
         )
         self._histograms = (
-            self.syscall_latency_us,
-            self.ring_depth,
-            self.wb_inflight_depth,
             self.binder_window_depth,
-        )
-        self._counters = (
-            self.syscalls_total,
-            self.world_switches_total,
-            self.channel_bytes_total,
-            self.channel_chunks_total,
-            self.binder_txns_total,
-            self.proxy_calls_total,
-            self.blocked_calls_total,
-            self.irqs_total,
-            self.page_faults_total,
-            self.faults_injected_total,
-            self.recoveries_total,
-            self.ring_submits_total,
-            self.ring_completes_total,
-            self.doorbells_coalesced_total,
-            self.cache_hits_total,
-            self.cache_misses_total,
-            self.cache_fill_pages_total,
-            self.cache_invalidations_total,
-            self.wb_submits_total,
-            self.wb_drains_total,
-            self.wb_fences_total,
-            self.wb_deferred_errors_total,
-            self.binder_submits_total,
-            self.binder_drains_total,
-            self.binder_fences_total,
-            self.binder_deferred_errors_total,
+            self.ring_depth,
+            self.syscall_latency_us,
+            self.wb_inflight_depth,
         )
 
     # -- bus sink ------------------------------------------------------------
 
     def observe_record(self, record):
-        """Update metrics from one finished span/event record."""
+        """Feed the histograms from one finished span/event record."""
         kind = record["kind"]
-        args = record.get("args", {})
-        if kind == "syscall" and record["type"] == "span":
-            self.syscalls_total.inc(
-                sclass=record.get("sclass", "unknown"),
-                disposition=args.get("disposition", "unknown"),
-            )
+        if kind == "syscall":
             dur_ns = record["end_ns"] - record["begin_ns"]
             self.syscall_latency_us.observe(dur_ns / NSEC_PER_USEC)
-        elif kind == "world-switch":
-            self.world_switches_total.inc(
-                direction=args.get("direction", "unknown")
-            )
-        elif kind == "channel-copy":
-            direction = args.get("direction", "unknown")
-            self.channel_bytes_total.inc(args.get("bytes", 0),
-                                         direction=direction)
-            self.channel_chunks_total.inc(args.get("chunks", 0),
-                                          direction=direction)
-        elif kind == "binder-txn":
-            self.binder_txns_total.inc(
-                lane="ui" if args.get("ui") else "delegated"
-            )
-        elif kind == "proxy":
-            if record["type"] == "span":
-                self.proxy_calls_total.inc()
-            elif args.get("decision") == "block":
-                self.blocked_calls_total.inc()
-        elif kind == "irq":
-            self.irqs_total.inc()
-        elif kind == "page-fault":
-            self.page_faults_total.inc(args.get("pages", 1))
-        elif kind == "fault":
-            self.faults_injected_total.inc(
-                site=args.get("site", record["name"])
-            )
-        elif kind == "ring-submit":
-            self.ring_submits_total.inc()
-            self.ring_depth.observe(args.get("depth", 1))
-        elif kind == "ring-complete":
-            self.ring_completes_total.inc()
-            self.ring_depth.observe(args.get("depth", 1))
-        elif kind == "doorbell-coalesced":
-            self.doorbells_coalesced_total.inc(
-                direction=args.get("direction", "unknown")
-            )
-        elif kind == "recovery":
-            self.recoveries_total.inc(action=record["name"])
-        elif kind == "cache-hit":
-            self.cache_hits_total.inc()
-        elif kind == "cache-miss":
-            self.cache_misses_total.inc()
-        elif kind == "cache-fill":
-            demand = args.get("pages", 0) - args.get("readahead", 0)
-            if demand > 0:
-                self.cache_fill_pages_total.inc(demand, lane="demand")
-            if args.get("readahead", 0) > 0:
-                self.cache_fill_pages_total.inc(
-                    args["readahead"], lane="readahead"
-                )
-        elif kind == "cache-invalidate":
-            self.cache_invalidations_total.inc(
-                args.get("pages", 1), cause=record["name"]
-            )
+        elif kind in ("ring-submit", "ring-complete"):
+            self.ring_depth.observe(record["args"].get("depth", 1))
         elif kind == "wb-submit":
-            self.wb_submits_total.inc()
-            self.wb_inflight_depth.observe(args.get("depth", 1))
-        elif kind == "wb-drain":
-            self.wb_drains_total.inc()
-        elif kind == "wb-fence":
-            self.wb_fences_total.inc()
-        elif kind == "wb-error":
-            self.wb_deferred_errors_total.inc()
+            self.wb_inflight_depth.observe(record["args"].get("depth", 1))
         elif kind == "binder-submit":
-            self.binder_submits_total.inc()
-            self.binder_window_depth.observe(args.get("depth", 1))
+            self.binder_window_depth.observe(record["args"].get("depth", 1))
         elif kind == "binder-drain":
-            self.binder_drains_total.inc()
-            self.binder_window_depth.observe(args.get("batch", 1))
-        elif kind == "binder-fence":
-            self.binder_fences_total.inc()
-        elif kind == "binder-error":
-            self.binder_deferred_errors_total.inc()
+            self.binder_window_depth.observe(record["args"].get("batch", 1))
 
     # -- output --------------------------------------------------------------
+
+    def counters(self):
+        """``{name: [{"labels": ..., "value": ...}]}`` of the non-zero
+        deltas since the registry was built, sorted by name and labels."""
+        baseline = self._baseline
+        snapshot = {name: [] for name in sorted(COUNTERS)}
+        for key, value in sorted(read_counts(self.world,
+                                             self.engine).items()):
+            delta = value - baseline.get(key, 0)
+            if delta:
+                name, labels = key
+                snapshot[name].append({
+                    "labels": dict(zip(COUNTERS[name], labels)),
+                    "value": delta,
+                })
+        return snapshot
 
     def snapshot(self):
         """JSON-able snapshot; round-trips losslessly through json.
@@ -314,13 +295,9 @@ class MetricsRegistry:
         prints deterministically even without ``sort_keys``.
         """
         return {
-            "counters": {
-                counter.name: counter.snapshot()
-                for counter in sorted(self._counters, key=lambda c: c.name)
-            },
+            "counters": self.counters(),
             "histograms": {
                 histogram.name: histogram.snapshot()
-                for histogram in sorted(self._histograms,
-                                        key=lambda h: h.name)
+                for histogram in self._histograms
             },
         }

@@ -212,7 +212,8 @@ def run_traced(workload, seed=0, observe=True, logcat=True, config=PAPER,
     """Boot an Anception world, run ``workload`` under the bus.
 
     ``observe=False`` runs the identical stream with no capture active —
-    the observability-is-free baseline.  ``logcat`` mirrors span records
+    the observability-is-free baseline; its counters still read, only
+    the histograms stay empty.  ``logcat`` mirrors span records
     into the host kernel's log device as ``trace:`` lines.  ``config``
     is the booted world's :class:`~repro.core.config.DelegationConfig`.
 
@@ -233,7 +234,7 @@ def run_traced(workload, seed=0, observe=True, logcat=True, config=PAPER,
     else:
         ctx = world.zygote.launched[-1].ctx
     target = world if getattr(fn, "needs_world", False) else ctx
-    metrics = MetricsRegistry()
+    metrics = MetricsRegistry(world)
     records = []
     if observe:
         bus = TraceBus.install(world.clock)

@@ -8,9 +8,8 @@ write is two world switches, one channel copy, and a native write
 executed in the guest.
 
 Since it became a view over :class:`repro.obs.TraceBus` captures,
-``breakdown`` nests safely: calling it while an outer trace (bus capture
-or legacy ``clock.enable_trace``) is in progress leaves the outer trace
-intact and complete.
+``breakdown`` nests safely: calling it while an outer bus capture is in
+progress leaves the outer capture intact and complete.
 """
 
 from __future__ import annotations

@@ -168,6 +168,20 @@ class TestBlockedCalls:
             enrolled_ctx.task.pid, "init_module"
         ) in anception_world.anception.blocked_calls
 
+    def test_blocked_log_is_bounded_and_counted(self, anception_world,
+                                                enrolled_ctx):
+        layer = anception_world.anception
+        for _ in range(2000):
+            with pytest.raises(SyscallError):
+                enrolled_ctx.libc.syscall("reboot")
+        assert len(layer.blocked_calls) <= layer.blocked_calls.limit
+        assert len(layer.decision_log) <= layer.decision_log.limit
+        stats = layer.stats()
+        assert stats["blocked_calls"] == 2000
+        assert stats["decisions"]["block"] == 2000
+        assert list(layer.blocked_calls)[-1] == (
+            enrolled_ctx.task.pid, "reboot")
+
     def test_all_blocked_class_calls(self, enrolled_ctx):
         for name in ("delete_module", "reboot", "kexec_load", "ptrace",
                      "pivot_root", "swapon"):

@@ -18,7 +18,6 @@ from repro.android.binder import (
     TRANSACTION_LOG_LIMIT,
     BinderDriver,
     Transaction,
-    TransactionLog,
 )
 from repro.core.config import DelegationConfig
 from repro.core.windows import WINDOW_DEPTH
@@ -26,6 +25,7 @@ from repro.core.marshal import encoded_size
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
+from repro.obs.ringlog import RingLog
 from repro.world import AnceptionWorld
 
 BINDER_RING = DelegationConfig(binder_ring=True)
@@ -278,7 +278,7 @@ class TestBulkParcels:
 
 class TestTransactionLogBounds:
     def test_log_is_bounded_with_drop_count(self):
-        log = TransactionLog(limit=4)
+        log = RingLog(limit=4)
         for i in range(10):
             log.append((i, "svc", "m"))
         assert len(log) == 4

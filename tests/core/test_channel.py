@@ -5,6 +5,7 @@ import pytest
 from repro.core.channel import AnceptionChannel
 from repro.hypervisor import LguestHypervisor
 from repro.kernel.kernel import Machine
+from repro.obs.bus import TraceBus
 from repro.perf.costs import PAGE_SIZE
 
 
@@ -35,10 +36,11 @@ class TestTransfers:
 
     def test_large_transfer_crosses_in_chunks(self, channel, machine):
         data = b"z" * (3 * PAGE_SIZE + 10)
-        machine.clock.enable_trace()
-        channel.send_to_guest(data)
-        charges = machine.clock.drain_trace()
-        chunk_charges = [c for c in charges if c[0] == "channel:chunk"]
+        bus = TraceBus.install(machine.clock)
+        with bus.capture() as capture:
+            channel.send_to_guest(data)
+        chunk_charges = [c for c in capture.charges()
+                         if c[0] == "channel:chunk"]
         assert len(chunk_charges) == 4  # ceil(3*4096+10 / 4096)
 
     def test_empty_payload_still_pays_one_chunk(self, channel, machine):
@@ -90,12 +92,11 @@ class TestTransfers:
         before = clock.now_ns
         send()
         folded = clock.now_ns - before
-        marker = clock.enable_trace()
         before = clock.now_ns
-        send()
+        with TraceBus.install(clock).capture() as capture:
+            send()
         traced = clock.now_ns - before
-        charges = clock.charges_since(marker)
-        clock.disable_trace()
+        charges = capture.charges()
         assert folded == traced == sum(ns for _label, ns in charges)
         chunks = max(1, machine.costs.chunks(size))
         assert [label for label, _ns in charges].count(

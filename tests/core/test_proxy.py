@@ -84,7 +84,16 @@ class TestExecution:
         proxy = manager.create_proxy(make_app_task(machine))
         manager.execute(proxy, "getpid", (), {})
         assert proxy.guest_task.state is TaskState.SLEEPING
-        assert proxy.calls_executed == 1
+        assert manager.executed == 1
+
+    def test_executed_count_outlives_the_proxy(self, machine, manager):
+        host_task = make_app_task(machine)
+        proxy = manager.create_proxy(host_task)
+        manager.execute(proxy, "getpid", (), {})
+        proxy = manager.respawn_proxy(host_task)
+        manager.execute(proxy, "getpid", (), {})
+        manager.remove_proxy(host_task)
+        assert manager.executed == 2
 
     def test_permission_checks_use_proxy_credentials(self, machine, manager,
                                                      cvm):

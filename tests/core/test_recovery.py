@@ -14,6 +14,7 @@ from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.kernel.kernel import KernelCrashed
+from repro.obs.bus import TraceBus
 
 
 @pytest.fixture
@@ -125,13 +126,12 @@ class TestAutomaticRecovery:
     def test_backoff_charged_between_attempts(self, chaos_world,
                                               enrolled_ctx):
         engine = arm(chaos_world, "channel.corrupt:nth=1")
-        chaos_world.clock.enable_trace()
         try:
-            enrolled_ctx.libc.stat(enrolled_ctx.data_path("seed.txt"))
+            with TraceBus.install(chaos_world.clock).capture() as capture:
+                enrolled_ctx.libc.stat(enrolled_ctx.data_path("seed.txt"))
         finally:
             engine.disarm()
-        charges = [reason for reason, _ in
-                   chaos_world.clock.drain_trace()]
+        charges = [reason for reason, _ in capture.charges()]
         assert "anception:retry-backoff" in charges
 
     def test_dropped_irq_resignalled(self, chaos_world, enrolled_ctx):

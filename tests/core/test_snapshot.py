@@ -121,18 +121,24 @@ class TestRejection:
         # the CLI's meta recorded them; v5 carries one DelegationConfig.
         self._refused(anception_world, 4)
 
+    def test_v5_fed_counter_blob_is_refused(self, anception_world):
+        # v5 blobs kept the layer's logs as unbounded lists and the
+        # clock's legacy charge recorder; v6 components own their
+        # counters and the logs are bounded rings.
+        self._refused(anception_world, 5)
+
     @staticmethod
     def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         blob = bytearray(world.snapshot())
         struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
                                match=f"unsupported snapshot version "
                                      f"{version} "
-                                     r"\(this build reads 5\)"):
+                                     r"\(this build reads 6\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):

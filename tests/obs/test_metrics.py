@@ -1,34 +1,83 @@
-"""MetricsRegistry: counters, histograms, JSON round-trips."""
+"""MetricsRegistry: counters read from a live world, histograms, JSON."""
 
+import errno
 import json
+from dataclasses import replace
 
+import pytest
+
+from repro.core.config import FAST, PAPER
+from repro.errors import SyscallError
+from repro.faults.chaos import run_chaos
+from repro.obs.bus import TraceBus
 from repro.obs.metrics import (
-    Counter,
+    COUNTERS,
     DEFAULT_LATENCY_BUCKETS_US,
     Histogram,
     MetricsRegistry,
+    read_counts,
 )
+from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world, run_traced
+
+
+CONFIGS = {
+    "paper": PAPER,
+    "fast": FAST,
+    "fast-4cvm": replace(FAST, cvms=4, placement="by-uid"),
+}
+
+
+def _values(registry, name):
+    """{label values: value} of one counter."""
+    return {
+        tuple(entry["labels"].values()): entry["value"]
+        for entry in registry.snapshot()["counters"][name]
+    }
+
+
+def _total(registry, name):
+    return sum(_values(registry, name).values())
+
+
+@pytest.fixture
+def obs_world():
+    return boot_obs_world()
 
 
 class TestCounter:
-    def test_labelled_increments(self):
-        counter = Counter("c", ("a", "b"))
-        counter.inc(a="x", b="y")
-        counter.inc(2, a="x", b="y")
-        counter.inc(a="x", b="z")
-        assert counter.value(a="x", b="y") == 3
-        assert counter.value(a="x", b="z") == 1
-        assert counter.total() == 4
+    def test_labelled_increments(self, obs_world):
+        world, ctx = obs_world
+        registry = MetricsRegistry(world)
+        ctx.libc.getpid()
+        ctx.libc.getpid()
+        ctx.libc.stat(ctx.data_path("."))
+        values = _values(registry, "syscalls_total")
+        assert values[("host", "anception")] == 2
+        # the host traps the stat, the CVM proxy's kernel runs it
+        assert values[("redirect", "anception")] == 1
+        assert values[("redirect", "native")] == 1
 
-    def test_snapshot_is_sorted_and_labelled(self):
-        counter = Counter("c", ("k",))
-        counter.inc(k="beta")
-        counter.inc(k="alpha")
-        snap = counter.snapshot()
-        assert snap == [
-            {"labels": {"k": "alpha"}, "value": 1},
-            {"labels": {"k": "beta"}, "value": 1},
-        ]
+    def test_snapshot_is_sorted_and_labelled(self, obs_world):
+        world, ctx = obs_world
+        registry = MetricsRegistry(world)
+        ctx.libc.getpid()
+        ctx.libc.stat(ctx.data_path("."))
+        counters = registry.snapshot()["counters"]
+        assert list(counters) == sorted(COUNTERS)
+        for name, entries in counters.items():
+            keys = [tuple(entry["labels"].values()) for entry in entries]
+            assert keys == sorted(keys)
+            for entry in entries:
+                assert tuple(entry["labels"]) == COUNTERS[name]
+                assert entry["value"] > 0
+
+    def test_counts_before_the_registry_are_excluded(self, obs_world):
+        world, ctx = obs_world
+        ctx.libc.getpid()
+        registry = MetricsRegistry(world)
+        assert registry.snapshot()["counters"]["syscalls_total"] == []
+        ctx.libc.getpid()
+        assert _total(registry, "syscalls_total") == 1
 
 
 class TestHistogram:
@@ -48,72 +97,164 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def _syscall_span(self, dur_ns=760, disposition="native"):
-        return {
-            "type": "span",
-            "kind": "syscall",
-            "name": "getpid",
-            "begin_ns": 0,
-            "end_ns": dur_ns,
-            "sclass": "host",
-            "args": {"disposition": disposition},
+    def test_syscall_span_updates_counter_and_histogram(self, obs_world):
+        world, ctx = obs_world
+        registry = MetricsRegistry(world)
+        bus = TraceBus.install(world.clock)
+        bus.subscribe(registry.observe_record)
+        with bus.capture():
+            ctx.libc.getpid()
+        bus.unsubscribe(registry.observe_record)
+        assert _values(registry, "syscalls_total") == {
+            ("host", "anception"): 1,
         }
+        assert registry.syscall_latency_us.count == 1
 
-    def test_syscall_span_updates_counter_and_histogram(self):
-        registry = MetricsRegistry()
-        registry.observe_record(self._syscall_span())
-        registry.observe_record(self._syscall_span(disposition="anception"))
-        assert registry.syscalls_total.value(
-            sclass="host", disposition="native"
-        ) == 1
-        assert registry.syscall_latency_us.count == 2
-
-    def test_world_switch_and_channel(self):
-        registry = MetricsRegistry()
+    def test_records_feed_only_the_histograms(self, obs_world):
+        world, _ctx = obs_world
+        registry = MetricsRegistry(world)
         registry.observe_record({
-            "type": "span", "kind": "world-switch", "name": "irq:x",
-            "begin_ns": 0, "end_ns": 100,
-            "args": {"direction": "host->guest"},
+            "type": "span", "kind": "syscall", "name": "getpid",
+            "begin_ns": 0, "end_ns": 760, "sclass": "host",
+            "args": {"disposition": "native"},
         })
         registry.observe_record({
-            "type": "span", "kind": "channel-copy", "name": "to-guest",
-            "begin_ns": 0, "end_ns": 100,
-            "args": {"direction": "to-guest", "bytes": 4096, "chunks": 1},
+            "type": "span", "kind": "ring-submit", "name": "write#1",
+            "begin_ns": 0, "end_ns": 10, "args": {"depth": 3},
         })
-        assert registry.world_switches_total.value(
-            direction="host->guest"
-        ) == 1
-        assert registry.channel_bytes_total.value(direction="to-guest") == 4096
+        snapshot = registry.snapshot()
+        assert all(entries == [] for entries in snapshot["counters"].values())
+        assert snapshot["histograms"]["syscall_latency_us"]["count"] == 1
+        assert snapshot["histograms"]["ring_depth"]["count"] == 1
 
-    def test_blocked_event_counted_separately_from_proxy_spans(self):
-        registry = MetricsRegistry()
-        registry.observe_record({
-            "type": "event", "kind": "proxy", "name": "blocked:reboot",
-            "ts_ns": 0, "args": {"decision": "block"},
-        })
-        registry.observe_record({
-            "type": "span", "kind": "proxy", "name": "forward:write",
-            "begin_ns": 0, "end_ns": 10, "args": {},
-        })
-        assert registry.blocked_calls_total.total() == 1
-        assert registry.proxy_calls_total.total() == 1
+    def test_world_switch_and_channel(self, obs_world):
+        world, ctx = obs_world
+        fd = ctx.libc.open(ctx.data_path("m.bin"), 0o101)
+        registry = MetricsRegistry(world)
+        ctx.libc.write(fd, b"w" * 4096)
+        assert _values(registry, "world_switches_total") == {
+            ("guest->host",): 1, ("host->guest",): 1,
+        }
+        assert _total(registry, "irqs_total") == 1
+        assert _values(registry, "channel_bytes_total")[("to-guest",)] \
+            >= 4096
+        assert _values(registry, "channel_chunks_total")[("to-guest",)] \
+            == 2
 
-    def test_snapshot_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.observe_record(self._syscall_span())
+    def test_blocked_event_counted_separately_from_proxy_spans(
+            self, obs_world):
+        world, ctx = obs_world
+        registry = MetricsRegistry(world)
+        with pytest.raises(SyscallError) as exc:
+            ctx.libc.syscall("reboot")
+        assert exc.value.errno == errno.EPERM
+        assert _total(registry, "blocked_calls_total") == 1
+        assert _total(registry, "proxy_calls_total") == 0
+        bus = TraceBus.install(world.clock)
+        with bus.capture():  # the host's forward: span is no execution
+            ctx.libc.stat(ctx.data_path("."))
+        assert _total(registry, "proxy_calls_total") == 1
+
+    def test_snapshot_round_trips_through_json(self, obs_world):
+        world, ctx = obs_world
+        registry = MetricsRegistry(world)
+        ctx.libc.getpid()
         snapshot = registry.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_live_workload_populates_registry(self):
-        from repro.obs.runner import run_traced
-
         result = run_traced("write4k", logcat=False)
         metrics = result.metrics
-        assert metrics.world_switches_total.total() >= 2
-        assert metrics.channel_bytes_total.value(direction="to-guest") >= 4096
-        assert metrics.syscalls_total.total() >= 3
+        assert _total(metrics, "world_switches_total") >= 2
+        assert _values(metrics, "channel_bytes_total")[("to-guest",)] \
+            >= 4096
+        assert _total(metrics, "syscalls_total") >= 3
         snapshot = metrics.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
+
+
+class TestDormantEqualsTraced:
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
+    def test_untraced_run_reports_the_same_counters(self, workload,
+                                                    config):
+        traced = run_traced(workload, logcat=False, config=CONFIGS[config])
+        dormant = run_traced(workload, logcat=False, config=CONFIGS[config],
+                             observe=False)
+        counters = traced.metrics.snapshot()["counters"]
+        assert dormant.metrics.snapshot()["counters"] == counters
+        assert counters["syscalls_total"]
+
+
+class TestProxyCalls:
+    @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
+    def test_counts_each_execution_once(self, workload):
+        result = run_traced(workload, logcat=False)
+        executed = [r for r in result.records if r["kind"] == "proxy"
+                    and r["name"].startswith("execute:")]
+        assert _total(result.metrics, "proxy_calls_total") == len(executed)
+
+    def test_equals_the_descriptors_the_proxies_drained(self, obs_world):
+        world, ctx = obs_world
+        ring = world.anception.channel.submit_ring
+        popped = ring.popped
+        registry = MetricsRegistry(world)
+        TRACE_WORKLOADS["fileops"](ctx)
+        assert _total(registry, "proxy_calls_total") == ring.popped - popped
+
+
+class TestMonotone:
+    def _assert_no_count_fell(self, before, after):
+        fell = {key: (value, after.get(key, 0))
+                for key, value in before.items()
+                if after.get(key, 0) < value}
+        assert fell == {}
+
+    def test_chaos_reboot_keeps_the_pre_reboot_traffic(self):
+        result = run_chaos("fileops", seed=7)
+        assert result.stats["cvm_reboots"] == 1
+        counters = result.metrics.snapshot()["counters"]
+        assert all(entry["value"] > 0
+                   for entries in counters.values() for entry in entries)
+        assert sum(e["value"] for e in counters["ring_submits_total"]) == 35
+        assert sum(e["value"]
+                   for e in counters["channel_bytes_total"]) == 6595
+        assert sum(e["value"] for e in counters["irqs_total"]) == 35
+        # the live channel only saw the traffic after the reboot
+        assert result.stats["channel"]["submit_ring"]["pushed"] == 24
+
+    def test_faults_still_read_after_disarm(self):
+        result = run_chaos("fileops", seed=7)
+        assert result.world.clock.faults is None
+        assert _values(result.metrics, "faults_injected_total") == {
+            ("channel.corrupt",): 1, ("cvm.crash",): 1,
+            ("irq.drop",): 1, ("proxy.kill",): 1,
+        }
+
+    def test_reboot_respawn_and_exit(self, obs_world):
+        world, ctx = obs_world
+        layer = world.anception
+        TRACE_WORKLOADS["fileops"](ctx)
+        before = read_counts(world)
+        layer.proxies.respawn_proxy(ctx.libc.task)
+        after = read_counts(world)
+        self._assert_no_count_fell(before, after)
+        layer.reboot_cvm()
+        TRACE_WORKLOADS["getpid"](ctx)
+        before, after = after, read_counts(world)
+        self._assert_no_count_fell(before, after)
+        ctx.libc.syscall("exit", 0)
+        self._assert_no_count_fell(after, read_counts(world))
+
+    def test_migration(self):
+        world, ctx = boot_obs_world(CONFIGS["fast-4cvm"])
+        layer = world.anception
+        TRACE_WORKLOADS["fileops"](ctx)
+        before = read_counts(world)
+        source = layer._lane(ctx.libc.task)
+        target = layer.pool.lane_by_id((source.cvm_id + 1) % 4)
+        assert layer.migrate(ctx.libc.task, target)
+        self._assert_no_count_fell(before, read_counts(world))
 
 
 class TestQuantiles:
@@ -158,8 +299,8 @@ class TestQuantiles:
         assert quantiles["p50"] <= quantiles["p95"] <= quantiles["p99"]
         assert quantiles["p99"] <= 200  # inside the (100, 200] bucket
 
-    def test_registry_snapshot_sorted_and_quantiled(self):
-        registry = MetricsRegistry()
+    def test_registry_snapshot_sorted_and_quantiled(self, obs_world):
+        registry = MetricsRegistry(obs_world[0])
         registry.observe_record({
             "type": "span", "kind": "syscall", "name": "write",
             "begin_ns": 0, "end_ns": 42_000, "sclass": "fs",

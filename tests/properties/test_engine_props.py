@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FAST
 from repro.errors import SyscallError
+from repro.obs.bus import TraceBus
 from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
 from repro.perf.slab import DEFAULT_SLAB_BYTES, SlabPool, zeros
 
@@ -89,16 +90,15 @@ def _digest(workload, cvms, binder_ring=False):
         replace(FAST, binder_ring=binder_ring, cvms=cvms))
     fn = TRACE_WORKLOADS[workload]
     clock = world.clock
-    marker = clock.enable_trace()
     start = clock.now_ns
-    if getattr(fn, "needs_world", False):
-        fn(world)
-    else:
-        _iterate(ctx, workload, 1)
-        _iterate(ctx, workload, 1)
+    with TraceBus.install(clock).capture() as capture:
+        if getattr(fn, "needs_world", False):
+            fn(world)
+        else:
+            _iterate(ctx, workload, 1)
+            _iterate(ctx, workload, 1)
     elapsed = clock.now_ns - start
-    charges = clock.charges_since(marker)
-    clock.disable_trace()
+    charges = capture.charges()
     sha = hashlib.sha256(repr(charges).encode()).hexdigest()[:16]
     return elapsed, len(charges), sha
 
