@@ -29,16 +29,23 @@ import time
 from dataclasses import replace
 
 
-def _positive_int(text):
-    """argparse type for pool sizes, depths and capacities: an int >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(floor):
+    """argparse type for a count flag: an int >= ``floor``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {floor}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+"""Pool sizes, depths, capacities and ``--top``."""
 
 
 def _print_json(data):
@@ -130,16 +137,19 @@ def cmd_alternatives(_args):
     })
 
 
-def _emit(text, out_path):
+def _emit(data, out_path):
+    """Print ``data``, or write it (``str`` or ``bytes``) to ``out_path``;
+    a path that cannot be written is a clean error."""
     if out_path:
+        mode = "wb" if isinstance(data, bytes) else "w"
         try:
-            with open(out_path, "w") as handle:
-                handle.write(text)
+            with open(out_path, mode) as handle:
+                handle.write(data)
         except OSError as exc:
             sys.exit(f"anception: error: cannot write {out_path}: {exc}")
         print(f"wrote {out_path}")
     else:
-        print(text)
+        print(data)
 
 
 def _ring_summary(anception):
@@ -308,17 +318,14 @@ def cmd_metrics(args):
     workload = getattr(args, "workload", None) or "table1"
     seed = getattr(args, "seed", 0)
     try:
-        result = run_traced(workload, seed=seed, logcat=False,
-                            config=_config(args))
+        result = run_traced(workload, seed=seed, config=_config(args))
     except ValueError as exc:
         sys.exit(f"anception: error: {exc}")
-    bus = getattr(result.world.clock, "bus", None)
     snapshot = {
         "workload": workload,
         "trace_id": result.trace_id,
         "elapsed_us": result.elapsed_ns / 1000,
-        "metrics": result.metrics.snapshot(),
-        "obs_sink_errors": getattr(bus, "sink_errors", 0),
+        "metrics": result.metrics.snapshot(result.records),
     }
     text = json.dumps(snapshot, indent=2, sort_keys=True)
     _emit(text, getattr(args, "out", None))
@@ -338,13 +345,11 @@ def cmd_chaos(args):
         sys.exit(f"anception: error: {exc}")
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        text = chrome_trace_json(
+        _emit(chrome_trace_json(
             result.records,
             trace_id=make_trace_id(f"chaos-{workload}", seed),
             workload=workload,
-        )
-        with open(trace_out, "w") as handle:
-            handle.write(text)
+        ), trace_out)
     _emit(chaos_report_json(result), getattr(args, "out", None))
 
 
@@ -363,42 +368,31 @@ def cmd_report(args):
             trace = json.load(handle)
     except (OSError, ValueError) as exc:
         sys.exit(f"anception: error: cannot read trace {path}: {exc}")
-    _emit(report_json(trace, top=getattr(args, "top", None) or 10),
-          getattr(args, "out", None))
+    _emit(report_json(trace, top=args.top), getattr(args, "out", None))
 
 
 def cmd_snapshot(args):
     """Boot, warm up, and write a deterministic world snapshot blob."""
     from repro.core.snapshot import describe_snapshot
-    from repro.obs.runner import TRACE_WORKLOADS, boot_obs_world
+    from repro.obs.runner import resolve_workload, warm_start
 
-    workload = getattr(args, "workload", None) or "write4k"
-    fn = TRACE_WORKLOADS.get(workload)
-    if fn is None:
-        known = ", ".join(sorted(TRACE_WORKLOADS))
-        sys.exit(
-            f"anception: error: unknown workload {workload!r} "
-            f"(known: {known})"
-        )
-    warmup = getattr(args, "warmup", None) or 0
-    if warmup < 0:
-        sys.exit(f"anception: error: --warmup must be >= 0, got {warmup}")
+    try:
+        workload, fn = resolve_workload(
+            getattr(args, "workload", None) or "write4k")
+    except ValueError as exc:
+        sys.exit(f"anception: error: {exc}")
+    warmup = args.warmup
     host_t0 = time.perf_counter_ns()
-    world, ctx = boot_obs_world(_config(args))
-    target = world if getattr(fn, "needs_world", False) else ctx
+    world, target = warm_start(workload, fn, config=_config(args))
     for _ in range(warmup):
         fn(target)
     blob = world.snapshot(meta={"workload": workload, "warmup": warmup})
     out = getattr(args, "out", None) or "world.snap"
-    try:
-        with open(out, "wb") as handle:
-            handle.write(blob)
-    except OSError as exc:
-        sys.exit(f"anception: error: cannot write {out}: {exc}")
+    _emit(blob, out)
     host_ms = (time.perf_counter_ns() - host_t0) / 1e6
     info = describe_snapshot(blob)
     print(
-        f"wrote {out}: {len(blob)} bytes"
+        f"snapshot {out}: {len(blob)} bytes"
         f" digest={info['digest'][:16]}"
         f" workload={workload} warmup={warmup}"
         f" host_ms={host_ms:.1f}",
@@ -411,9 +405,7 @@ def cmd_resume(args):
     verify restore≡boot digest equality against a straight run."""
     from repro.core.snapshot import snapshot_meta, world_digest
     from repro.errors import SnapshotError
-    from repro.obs.runner import (
-        TRACE_WORKLOADS, boot_obs_world, run_traced,
-    )
+    from repro.obs.runner import TRACE_WORKLOADS, run_traced, warm_start
     from repro.world import _World
 
     path = getattr(args, "workload", None)
@@ -457,9 +449,9 @@ def cmd_resume(args):
         return
     # Straight-through control: fresh boot + the recorded warmup + the
     # same traced run.  Restore≡boot means the digests match exactly.
-    fresh, ctx = boot_obs_world(world.anception.config)
     fn = TRACE_WORKLOADS[workload]
-    target = fresh if getattr(fn, "needs_world", False) else ctx
+    fresh, target = warm_start(workload, fn,
+                               config=world.anception.config)
     for _ in range(warmup):
         fn(target)
     run_traced(workload, seed=seed, world=fresh)
@@ -598,7 +590,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         help="how many top-self-time spans the report command keeps "
              "(default: 10)",
@@ -626,7 +618,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--warmup",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         help="workload passes to run before writing the blob "
              "(snapshot command; default: 1)",

@@ -19,10 +19,7 @@ from repro.core.recovery import RecoveryPolicy
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
-from repro.obs.bus import TraceBus
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runner import TRACE_WORKLOADS
-from repro.world import AnceptionWorld
+from repro.obs.runner import observed_run, resolve_workload, warm_start
 
 
 class ChaosApp(App):
@@ -74,7 +71,7 @@ class ChaosResult:
             "faults": self.faults,
             "recoveries": [list(entry) for entry in self.recovery_log],
             "stats": self.stats,
-            "metrics": self.metrics.snapshot(),
+            "metrics": self.metrics.snapshot(self.records),
         }
 
 
@@ -105,30 +102,13 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
     restored mid-campaign world resumes with its armed fault engine's
     trigger cursor and PRNG intact unless a fresh plan is armed here.
     """
-    if callable(workload):
-        fn, name = workload, getattr(workload, "__name__", "custom")
-    else:
-        fn = TRACE_WORKLOADS.get(workload)
-        name = workload
-        if fn is None:
-            known = ", ".join(sorted(TRACE_WORKLOADS))
-            raise ValueError(f"unknown workload {workload!r} (known: {known})")
+    name, fn = resolve_workload(workload)
     plan = FaultPlan.parse(DEFAULT_PLAN if faults is None else faults)
-
-    if world is None:
-        world = AnceptionWorld(config=config)
-        running = world.install_and_launch(ChaosApp())
-        running.run()
-        ctx = running.ctx
-    else:
-        ctx = world.zygote.launched[-1].ctx
-    target = world if getattr(fn, "needs_world", False) else ctx
+    world, target = warm_start(name, fn, world, config, app=ChaosApp)
     if recovery:
         world.anception.recovery = RecoveryPolicy.chaos_default()
     engine = FaultEngine(plan, seed=seed)
     engine.arm(world.clock)
-    metrics = MetricsRegistry(world)
-    records = []
     status, error = "ok", None
 
     def _run():
@@ -139,21 +119,9 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
             status, error = "syscall-error", str(exc)
 
     try:
-        if observe:
-            bus = TraceBus.install(world.clock)
-            bus.subscribe(metrics.observe_record)
-            try:
-                with bus.capture() as capture:
-                    start_ns = world.clock.now_ns
-                    _run()
-                    elapsed_ns = world.clock.now_ns - start_ns
-                records = capture.records
-            finally:
-                bus.unsubscribe(metrics.observe_record)
-        else:
-            start_ns = world.clock.now_ns
-            _run()
-            elapsed_ns = world.clock.now_ns - start_ns
+        # The registry is built after arming: it reads the engine's
+        # fault counts from the clock.
+        elapsed_ns, records, metrics = observed_run(world, _run, observe)
     finally:
         engine.disarm()
 

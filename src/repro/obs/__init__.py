@@ -12,8 +12,8 @@ This package is the measurement substrate that makes such attribution a
   *simulated* nanoseconds.  Observers never call ``clock.advance``:
   tracing on or off, the simulated elapsed time is bit-identical.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters read from the
-  components that own them, fixed-bucket histograms fed from the bus,
-  snapshotable as JSON.
+  components that own them, fixed-bucket histograms built from a
+  capture's records, snapshotable as JSON.
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and an ftrace-style text dump, both
   deterministic (per-run ``trace_id`` derived from workload + seed).
@@ -26,7 +26,8 @@ This package is the measurement substrate that makes such attribution a
 Everything here accounts *simulated* nanoseconds.  Wall-clock time per
 layer is measured from outside the package, by the benchmark's tracer
 (``python3 perfbench/run.py --trace 1``), so the bus is the only
-observer the hot paths test for.
+observer the hot paths test for.  The bus only records: nothing
+listens to it, and readers take a capture's records when it closes.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ class ChargeRecord:
     non-zero ``clock.advance`` during a capture emits one), so they
     carry fixed fields in ``__slots__`` rather than a fresh dict.  The
     mapping-style surface (``record["name"]``, ``record.get("pid")``,
-    ``dict(record)``) keeps every existing consumer — captures, sinks,
+    ``dict(record)``) keeps every existing consumer — captures, metrics,
     exporters — working unchanged.
     """
 
@@ -192,27 +192,17 @@ class Capture:
 
 
 class TraceBus:
-    """Publish/subscribe hub for one machine's telemetry."""
+    """The recorder of one machine's telemetry: records plus nested
+    capture windows.  Nothing listens; readers take a capture's
+    records when it closes."""
 
     __snapshot__ = "auto"
-
-    SINK_FAILURE_LIMIT = 3
-    """Consecutive-failure budget before a raising sink is dropped."""
 
     def __init__(self, clock):
         self.clock = clock
         self.records = []
         self._depth = 0
         self._seq = 0
-        self._sinks = []
-        self._sink_failures = {}
-        """Consecutive failures per sink, keyed by the sink itself (the
-        old ``id(sink)`` keys would go stale across a snapshot restore,
-        which reassigns every CPython object id)."""
-        self.sink_errors = 0
-        """Total ``obs_sink_errors``: exceptions swallowed from sinks."""
-        self.dropped_sinks = 0
-        """Sinks evicted after exhausting :data:`SINK_FAILURE_LIMIT`."""
 
     # -- attachment ----------------------------------------------------------
 
@@ -228,16 +218,6 @@ class TraceBus:
     @property
     def enabled(self):
         return self._depth > 0
-
-    def subscribe(self, sink):
-        """``sink(record)`` is called for every finished record."""
-        self._sinks.append(sink)
-        return sink
-
-    def unsubscribe(self, sink):
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-        self._sink_failures.pop(sink, None)
 
     # -- capture windows -----------------------------------------------------
 
@@ -320,34 +300,7 @@ class TraceBus:
         )
 
     def _publish(self, record):
-        """Append and fan out; a raising sink never aborts the caller.
-
-        Observability must stay side-effect-free on the workload: a
-        buggy subscriber (a logcat sink hitting a full log device, a
-        user callback with a typo) is isolated, counted in
-        ``sink_errors``, and evicted after
-        :data:`SINK_FAILURE_LIMIT` failures so a hot loop cannot drown
-        dispatch in swallowed exceptions.
-        """
         self.records.append(record)
-        if not self._sinks:
-            return
-        dead = None
-        for sink in tuple(self._sinks):
-            try:
-                sink(record)
-            except Exception:
-                self.sink_errors += 1
-                failures = self._sink_failures.get(sink, 0) + 1
-                self._sink_failures[sink] = failures
-                if failures >= self.SINK_FAILURE_LIMIT:
-                    if dead is None:
-                        dead = []
-                    dead.append(sink)
-        if dead:
-            for sink in dead:
-                self.unsubscribe(sink)
-                self.dropped_sinks += 1
 
 
 def maybe_span(clock, kind, name, task=None, kernel=None, sclass=None,
@@ -366,39 +319,3 @@ def maybe_event(clock, kind, name, task=None, kernel=None, **attrs):
     if bus is None or not bus._depth:
         return None
     return bus.event(kind, name, task=task, kernel=kernel, **attrs)
-
-
-class LogcatSink:
-    """Mirror finished records into a kernel log device.
-
-    Android debugging habit: the kernel's tracepoints show up as logcat
-    lines.  Attach with ``bus.subscribe(LogcatSink(kernel.log_device))``;
-    span records become ``trace:`` lines tagged ``kernel``.
-    """
-
-    __snapshot__ = "auto"
-
-    TAG = "kernel"
-
-    def __init__(self, log_device, kinds=None):
-        self.log_device = log_device
-        self.kinds = set(kinds) if kinds is not None else None
-        self.lines = 0
-
-    def __call__(self, record):
-        if self.kinds is not None and record["kind"] not in self.kinds:
-            return
-        if record["type"] == "span":
-            dur_ns = record["end_ns"] - record["begin_ns"]
-            text = (
-                f"trace: {record['kind']} {record['name']}"
-                f" pid={record.get('pid', '-')}"
-                f" dur_us={dur_ns / 1000:.2f}"
-            )
-        else:
-            text = (
-                f"trace: {record['kind']} {record['name']}"
-                f" pid={record.get('pid', '-')}"
-            )
-        self.log_device.append(self.TAG, text)
-        self.lines += 1

@@ -1,4 +1,4 @@
-"""Counters read from the components, histograms fed from the trace bus.
+"""Counters read from the components, histograms built from a capture.
 
 Counters have one source: the components keep plain integers (kernels,
 hypervisors, channels and their rings, proxy managers, binder drivers,
@@ -7,7 +7,8 @@ engine), and :class:`MetricsRegistry` reads them when asked.  It takes
 a baseline when it is built and reports deltas since then, so counters
 cost nothing until read and a dormant (untraced) run counts exactly
 what a traced one does.  Only the four histograms need per-record
-detail; they are fed from bus records while a capture runs.
+detail; they are built from a capture's records when a snapshot is
+taken, so an untraced run reports them empty.
 
 The monotone rule: no count the registry reads may go down.  A CVM
 reboot replaces its lane's channel, proxy manager, guest kernel and
@@ -217,60 +218,50 @@ class Histogram:
         }
 
 
+def histograms(records):
+    """The four histograms of a capture's span and event records, as
+    ``{name: snapshot}`` in sorted-name order."""
+    latency = Histogram("syscall_latency_us", DEFAULT_LATENCY_BUCKETS_US,
+                        unit="us")
+    ring = Histogram("ring_depth", DEFAULT_RING_DEPTH_BUCKETS,
+                     unit="descriptors")
+    wb = Histogram("wb_inflight_depth", DEFAULT_RING_DEPTH_BUCKETS,
+                   unit="descriptors")
+    binder = Histogram("binder_window_depth", DEFAULT_RING_DEPTH_BUCKETS,
+                       unit="transactions")
+    depths = {
+        "ring-submit": (ring, "depth"),
+        "ring-complete": (ring, "depth"),
+        "wb-submit": (wb, "depth"),
+        "binder-submit": (binder, "depth"),
+        "binder-drain": (binder, "batch"),
+    }
+    for record in records:
+        kind = record["kind"]
+        if kind == "syscall":
+            latency.observe(
+                (record["end_ns"] - record["begin_ns"]) / NSEC_PER_USEC)
+        elif kind in depths:
+            histogram, arg = depths[kind]
+            histogram.observe(record["args"].get(arg, 1))
+    return {histogram.name: histogram.snapshot()
+            for histogram in (binder, ring, latency, wb)}
+
+
 class MetricsRegistry:
     """The standard metric set of one world.
 
     Counters are read from the world's components and reported as
-    deltas since the registry was built; histograms are fed by
-    subscribing :meth:`observe_record` to the world's trace bus.
-    ``faults_injected_total`` reads the fault engine armed on the
-    world's clock when the registry is built, and keeps reading it
-    after it is disarmed.
+    deltas since the registry was built; histograms are built from the
+    records handed to :meth:`snapshot`.  ``faults_injected_total``
+    reads the fault engine armed on the world's clock when the registry
+    is built, and keeps reading it after it is disarmed.
     """
 
     def __init__(self, world):
         self.world = world
         self.engine = world.clock.faults
         self._baseline = read_counts(world, self.engine)
-        self.syscall_latency_us = Histogram(
-            "syscall_latency_us", DEFAULT_LATENCY_BUCKETS_US, unit="us"
-        )
-        self.ring_depth = Histogram(
-            "ring_depth", DEFAULT_RING_DEPTH_BUCKETS, unit="descriptors"
-        )
-        self.wb_inflight_depth = Histogram(
-            "wb_inflight_depth", DEFAULT_RING_DEPTH_BUCKETS,
-            unit="descriptors",
-        )
-        self.binder_window_depth = Histogram(
-            "binder_window_depth", DEFAULT_RING_DEPTH_BUCKETS,
-            unit="transactions",
-        )
-        self._histograms = (
-            self.binder_window_depth,
-            self.ring_depth,
-            self.syscall_latency_us,
-            self.wb_inflight_depth,
-        )
-
-    # -- bus sink ------------------------------------------------------------
-
-    def observe_record(self, record):
-        """Feed the histograms from one finished span/event record."""
-        kind = record["kind"]
-        if kind == "syscall":
-            dur_ns = record["end_ns"] - record["begin_ns"]
-            self.syscall_latency_us.observe(dur_ns / NSEC_PER_USEC)
-        elif kind in ("ring-submit", "ring-complete"):
-            self.ring_depth.observe(record["args"].get("depth", 1))
-        elif kind == "wb-submit":
-            self.wb_inflight_depth.observe(record["args"].get("depth", 1))
-        elif kind == "binder-submit":
-            self.binder_window_depth.observe(record["args"].get("depth", 1))
-        elif kind == "binder-drain":
-            self.binder_window_depth.observe(record["args"].get("batch", 1))
-
-    # -- output --------------------------------------------------------------
 
     def counters(self):
         """``{name: [{"labels": ..., "value": ...}]}`` of the non-zero
@@ -288,16 +279,15 @@ class MetricsRegistry:
                 })
         return snapshot
 
-    def snapshot(self):
-        """JSON-able snapshot; round-trips losslessly through json.
+    def snapshot(self, records):
+        """JSON-able snapshot of the counters and of the histograms of
+        ``records`` (a capture's records; ``[]`` for an untraced run);
+        round-trips losslessly through json.
 
         Both sections are built in sorted-name order, so the snapshot
         prints deterministically even without ``sort_keys``.
         """
         return {
             "counters": self.counters(),
-            "histograms": {
-                histogram.name: histogram.snapshot()
-                for histogram in self._histograms
-            },
+            "histograms": histograms(records),
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.android.app import App, AppManifest
 from repro.core.config import PAPER
 from repro.kernel import vfs
-from repro.obs.bus import LogcatSink, TraceBus
+from repro.obs.bus import TraceBus
 from repro.obs.export import make_trace_id
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.fleet import workload_fleet
@@ -179,18 +179,70 @@ TRACE_WORKLOADS = {
 }
 
 
-def boot_obs_world(config=PAPER):
-    """Boot an AnceptionWorld with an enrolled app; returns (world, ctx).
+def boot_obs_world(config=PAPER, app=_ObsApp):
+    """Boot an AnceptionWorld with ``app`` launched; returns (world, ctx).
 
-    The shared setup for :func:`run_traced`, the ``snapshot``/``resume``
-    commands and tests that drive workload bodies against a pre-booted
-    world.  ``config`` is the world's
+    The shared setup for :func:`run_traced`, the chaos harness, the
+    ``snapshot``/``resume`` commands and tests that drive workload
+    bodies against a pre-booted world.  ``config`` is the world's
     :class:`~repro.core.config.DelegationConfig`.
     """
     world = AnceptionWorld(config=config)
-    running = world.install_and_launch(_ObsApp())
+    running = world.install_and_launch(app())
     running.run()
     return world, running.ctx
+
+
+def resolve_workload(workload):
+    """``(name, fn)`` for a traced-workload name or any callable."""
+    if callable(workload):
+        return getattr(workload, "__name__", "custom"), workload
+    fn = TRACE_WORKLOADS.get(workload)
+    if fn is None:
+        known = ", ".join(sorted(TRACE_WORKLOADS))
+        raise ValueError(f"unknown workload {workload!r} (known: {known})")
+    return workload, fn
+
+
+def warm_start(name, fn, world=None, config=PAPER, app=_ObsApp):
+    """``(world, target)`` to run workload ``fn`` on.
+
+    ``world`` warm-starts on an already-booted (typically
+    snapshot-restored) world, else a fresh ``config`` world is booted
+    with ``app`` launched.  Workloads that set ``needs_world = True``
+    (the fleet driver) install and run their own apps, so their target
+    is the world; every other workload runs in the context of the most
+    recently launched app.
+    """
+    if world is None:
+        world, _ctx = boot_obs_world(config, app)
+    if getattr(fn, "needs_world", False):
+        return world, world
+    if not world.zygote.launched:
+        raise ValueError(f"workload {name!r} runs in an app, but the "
+                         "world has no launched app")
+    return world, world.zygote.launched[-1].ctx
+
+
+def observed_run(world, run, observe=True):
+    """Call ``run()`` on ``world``; returns (elapsed_ns, records, metrics).
+
+    The metrics registry is built first, so its counters are the run's
+    own.  ``observe`` wraps the run in a bus capture whose records build
+    the histograms; without it no bus is installed and records are
+    ``[]``.  Observing never advances the clock, so ``elapsed_ns`` is
+    the same either way.
+    """
+    metrics = MetricsRegistry(world)
+    start_ns = world.clock.now_ns
+    if observe:
+        with TraceBus.install(world.clock).capture() as capture:
+            run()
+        records = capture.records
+    else:
+        run()
+        records = []
+    return world.clock.now_ns - start_ns, records, metrics
 
 
 class TraceResult:
@@ -207,62 +259,25 @@ class TraceResult:
         self.world = world
 
 
-def run_traced(workload, seed=0, observe=True, logcat=True, config=PAPER,
-               world=None):
+def run_traced(workload, seed=0, observe=True, config=PAPER, world=None):
     """Boot an Anception world, run ``workload`` under the bus.
 
+    ``workload`` is a name from :data:`TRACE_WORKLOADS` or any callable.
     ``observe=False`` runs the identical stream with no capture active —
     the observability-is-free baseline; its counters still read, only
-    the histograms stay empty.  ``logcat`` mirrors span records
-    into the host kernel's log device as ``trace:`` lines.  ``config``
-    is the booted world's :class:`~repro.core.config.DelegationConfig`.
-
-    Workloads that set ``needs_world = True`` (the fleet driver) are
-    called with the booted world instead of a single app context: they
-    install and run their own population of apps.
-
-    ``world`` warm-starts the run on an already-booted (typically
-    snapshot-restored) world instead of paying a fresh boot; ``config``
-    is ignored in that case — the world carries its own.
+    the histograms stay empty.  ``config`` is the booted world's
+    :class:`~repro.core.config.DelegationConfig`.  ``world`` warm-starts
+    the run on an already-booted world (see :func:`warm_start`);
+    ``config`` is ignored in that case — the world carries its own.
     """
-    fn = TRACE_WORKLOADS.get(workload)
-    if fn is None:
-        known = ", ".join(sorted(TRACE_WORKLOADS))
-        raise ValueError(f"unknown workload {workload!r} (known: {known})")
-    if world is None:
-        world, ctx = boot_obs_world(config)
-    else:
-        ctx = world.zygote.launched[-1].ctx
-    target = world if getattr(fn, "needs_world", False) else ctx
-    metrics = MetricsRegistry(world)
-    records = []
-    if observe:
-        bus = TraceBus.install(world.clock)
-        bus.subscribe(metrics.observe_record)
-        sink = None
-        log_device = world.machine.kernel.log_device
-        if logcat and log_device is not None:
-            sink = LogcatSink(log_device, kinds=("syscall", "world-switch",
-                                                 "binder-txn"))
-            bus.subscribe(sink)
-        try:
-            with bus.capture() as capture:
-                start_ns = world.clock.now_ns
-                fn(target)
-                elapsed_ns = world.clock.now_ns - start_ns
-            records = capture.records
-        finally:
-            bus.unsubscribe(metrics.observe_record)
-            if sink is not None:
-                bus.unsubscribe(sink)
-    else:
-        start_ns = world.clock.now_ns
-        fn(target)
-        elapsed_ns = world.clock.now_ns - start_ns
+    name, fn = resolve_workload(workload)
+    world, target = warm_start(name, fn, world, config)
+    elapsed_ns, records, metrics = observed_run(
+        world, lambda: fn(target), observe)
     return TraceResult(
-        workload=workload,
+        workload=name,
         seed=seed,
-        trace_id=make_trace_id(workload, seed),
+        trace_id=make_trace_id(name, seed),
         elapsed_ns=elapsed_ns,
         records=records,
         metrics=metrics,

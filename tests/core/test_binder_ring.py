@@ -309,8 +309,8 @@ class TestObservability:
     def test_binder_counters_flow_through_metrics(self):
         from repro.obs.runner import run_traced
 
-        result = run_traced("binderburst", logcat=False, config=BINDER_RING)
-        counters = result.metrics.snapshot()["counters"]
+        result = run_traced("binderburst", config=BINDER_RING)
+        counters = result.metrics.counters()
         submits = sum(s["value"] for s in counters["binder_submits_total"])
         drains = sum(s["value"] for s in counters["binder_drains_total"])
         fences = sum(s["value"] for s in counters["binder_fences_total"])
@@ -321,9 +321,8 @@ class TestObservability:
     def test_observation_is_free(self):
         from repro.obs.runner import run_traced
 
-        observed = run_traced("binderburst", logcat=False, config=BINDER_RING)
-        blind = run_traced("binderburst", logcat=False, config=BINDER_RING,
-                           observe=False)
+        observed = run_traced("binderburst", config=BINDER_RING)
+        blind = run_traced("binderburst", config=BINDER_RING, observe=False)
         assert observed.elapsed_ns == blind.elapsed_ns
 
 

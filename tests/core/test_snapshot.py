@@ -127,18 +127,23 @@ class TestRejection:
         # counters and the logs are bounded rings.
         self._refused(anception_world, 5)
 
+    def test_v6_listener_bus_blob_is_refused(self, anception_world):
+        # v6 blobs pickled a clock's trace bus with its listener list
+        # and sink-failure counts; the v7 bus only records.
+        self._refused(anception_world, 6)
+
     @staticmethod
     def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 6
+        assert SNAPSHOT_VERSION == 7
         blob = bytearray(world.snapshot())
         struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
                                match=f"unsupported snapshot version "
                                      f"{version} "
-                                     r"\(this build reads 6\)"):
+                                     r"\(this build reads 7\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):

@@ -37,7 +37,7 @@ class TestDefaultTour:
 
     def test_metrics_counters_fed(self):
         result = run_chaos("fileops", seed=7)
-        counters = result.metrics.snapshot()["counters"]
+        counters = result.metrics.counters()
         assert sum(e["value"] for e in counters["faults_injected_total"]) \
             == 4
         assert sum(e["value"] for e in counters["recoveries_total"]) >= 4

@@ -1,6 +1,7 @@
 """MetricsRegistry: counters read from a live world, histograms, JSON."""
 
 import errno
+import hashlib
 import json
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ def _values(registry, name):
     """{label values: value} of one counter."""
     return {
         tuple(entry["labels"].values()): entry["value"]
-        for entry in registry.snapshot()["counters"][name]
+        for entry in registry.counters()[name]
     }
 
 
@@ -62,7 +63,7 @@ class TestCounter:
         registry = MetricsRegistry(world)
         ctx.libc.getpid()
         ctx.libc.stat(ctx.data_path("."))
-        counters = registry.snapshot()["counters"]
+        counters = registry.counters()
         assert list(counters) == sorted(COUNTERS)
         for name, entries in counters.items():
             keys = [tuple(entry["labels"].values()) for entry in entries]
@@ -75,7 +76,7 @@ class TestCounter:
         world, ctx = obs_world
         ctx.libc.getpid()
         registry = MetricsRegistry(world)
-        assert registry.snapshot()["counters"]["syscalls_total"] == []
+        assert registry.counters()["syscalls_total"] == []
         ctx.libc.getpid()
         assert _total(registry, "syscalls_total") == 1
 
@@ -100,29 +101,25 @@ class TestRegistry:
     def test_syscall_span_updates_counter_and_histogram(self, obs_world):
         world, ctx = obs_world
         registry = MetricsRegistry(world)
-        bus = TraceBus.install(world.clock)
-        bus.subscribe(registry.observe_record)
-        with bus.capture():
+        with TraceBus.install(world.clock).capture() as capture:
             ctx.libc.getpid()
-        bus.unsubscribe(registry.observe_record)
         assert _values(registry, "syscalls_total") == {
             ("host", "anception"): 1,
         }
-        assert registry.syscall_latency_us.count == 1
+        histograms = registry.snapshot(capture.records)["histograms"]
+        assert histograms["syscall_latency_us"]["count"] == 1
 
     def test_records_feed_only_the_histograms(self, obs_world):
         world, _ctx = obs_world
         registry = MetricsRegistry(world)
-        registry.observe_record({
+        snapshot = registry.snapshot([{
             "type": "span", "kind": "syscall", "name": "getpid",
             "begin_ns": 0, "end_ns": 760, "sclass": "host",
             "args": {"disposition": "native"},
-        })
-        registry.observe_record({
+        }, {
             "type": "span", "kind": "ring-submit", "name": "write#1",
             "begin_ns": 0, "end_ns": 10, "args": {"depth": 3},
-        })
-        snapshot = registry.snapshot()
+        }])
         assert all(entries == [] for entries in snapshot["counters"].values())
         assert snapshot["histograms"]["syscall_latency_us"]["count"] == 1
         assert snapshot["histograms"]["ring_depth"]["count"] == 1
@@ -159,17 +156,17 @@ class TestRegistry:
         world, ctx = obs_world
         registry = MetricsRegistry(world)
         ctx.libc.getpid()
-        snapshot = registry.snapshot()
+        snapshot = registry.snapshot([])
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_live_workload_populates_registry(self):
-        result = run_traced("write4k", logcat=False)
+        result = run_traced("write4k")
         metrics = result.metrics
         assert _total(metrics, "world_switches_total") >= 2
         assert _values(metrics, "channel_bytes_total")[("to-guest",)] \
             >= 4096
         assert _total(metrics, "syscalls_total") >= 3
-        snapshot = metrics.snapshot()
+        snapshot = metrics.snapshot(result.records)
         assert json.loads(json.dumps(snapshot)) == snapshot
 
 
@@ -178,18 +175,49 @@ class TestDormantEqualsTraced:
     @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
     def test_untraced_run_reports_the_same_counters(self, workload,
                                                     config):
-        traced = run_traced(workload, logcat=False, config=CONFIGS[config])
-        dormant = run_traced(workload, logcat=False, config=CONFIGS[config],
+        traced = run_traced(workload, config=CONFIGS[config])
+        dormant = run_traced(workload, config=CONFIGS[config],
                              observe=False)
-        counters = traced.metrics.snapshot()["counters"]
-        assert dormant.metrics.snapshot()["counters"] == counters
+        counters = traced.metrics.counters()
+        assert dormant.metrics.counters() == counters
         assert counters["syscalls_total"]
+
+        histograms = traced.metrics.snapshot(traced.records)["histograms"]
+        spans = [r["kind"] for r in traced.records if r["type"] == "span"]
+        assert histograms["syscall_latency_us"]["count"] \
+            == spans.count("syscall")
+        assert histograms["ring_depth"]["count"] \
+            == spans.count("ring-submit") + spans.count("ring-complete")
+        dormant_histograms = dormant.metrics.snapshot([])["histograms"]
+        assert list(dormant_histograms) == list(histograms)
+        assert all(h["count"] == 0 and not any(h["counts"])
+                   for h in dormant_histograms.values())
+
+
+class TestHistogramPins:
+    """The histograms of two runs, pinned by the sha256 prefix of their
+    sorted JSON; any change in which records they count, or in their
+    order of summation, moves the digest."""
+
+    @staticmethod
+    def _digest(result):
+        histograms = result.metrics.snapshot(result.records)["histograms"]
+        text = json.dumps(histograms, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def test_four_lane_binderburst(self):
+        result = run_traced("binderburst", config=CONFIGS["fast-4cvm"])
+        assert self._digest(result) == "b88992ab0d59a228"
+
+    def test_chaos_fileops(self):
+        assert self._digest(run_chaos("fileops", seed=7)) \
+            == "84beb21a7ee58abd"
 
 
 class TestProxyCalls:
     @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
     def test_counts_each_execution_once(self, workload):
-        result = run_traced(workload, logcat=False)
+        result = run_traced(workload)
         executed = [r for r in result.records if r["kind"] == "proxy"
                     and r["name"].startswith("execute:")]
         assert _total(result.metrics, "proxy_calls_total") == len(executed)
@@ -213,7 +241,7 @@ class TestMonotone:
     def test_chaos_reboot_keeps_the_pre_reboot_traffic(self):
         result = run_chaos("fileops", seed=7)
         assert result.stats["cvm_reboots"] == 1
-        counters = result.metrics.snapshot()["counters"]
+        counters = result.metrics.counters()
         assert all(entry["value"] > 0
                    for entries in counters.values() for entry in entries)
         assert sum(e["value"] for e in counters["ring_submits_total"]) == 35
@@ -301,12 +329,11 @@ class TestQuantiles:
 
     def test_registry_snapshot_sorted_and_quantiled(self, obs_world):
         registry = MetricsRegistry(obs_world[0])
-        registry.observe_record({
+        snapshot = registry.snapshot([{
             "type": "span", "kind": "syscall", "name": "write",
             "begin_ns": 0, "end_ns": 42_000, "sclass": "fs",
             "args": {"disposition": "delegated"},
-        })
-        snapshot = registry.snapshot()
+        }])
         assert list(snapshot["counters"]) == sorted(snapshot["counters"])
         assert list(snapshot["histograms"]) == sorted(snapshot["histograms"])
         latency = snapshot["histograms"]["syscall_latency_us"]
