@@ -52,7 +52,6 @@ def test_batched_throughput_beats_sync(binder):
 
 
 def test_every_staged_transaction_was_flagged(binder):
-    stats = binder["binder_ring"]
-    assert stats["enqueued"] == binder["binder_pushed"]
-    assert stats["pending"] == 0
-    assert stats["deferred_errors"] == 0
+    assert binder["binder_enqueued"] == binder["binder_pushed"]
+    assert binder["binder_pending"] == 0
+    assert binder["binder_deferred_errors"] == 0

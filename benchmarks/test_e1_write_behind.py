@@ -50,6 +50,5 @@ def test_wb_per_call_beats_sync(write_behind):
 
 
 def test_every_deferred_write_was_flagged(write_behind):
-    stats = write_behind["write_behind"]
-    assert stats["enqueued"] == write_behind["deferred_pushed"]
-    assert stats["pending"] == 0
+    assert write_behind["wb_enqueued"] == write_behind["deferred_pushed"]
+    assert write_behind["wb_pending"] == 0

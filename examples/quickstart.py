@@ -53,11 +53,11 @@ def main():
     print(f"  login result  : {result}")
     print("  (same app, unmodified - Anception is transparent)")
 
-    stats = world.anception.stats()
-    print(f"\n=== Redirection statistics ===")
-    print(f"  decisions     : {stats['decisions']}")
-    print(f"  channel       : {stats['channel']['transfers']} transfers, "
-          f"{stats['channel']['bytes_to_guest']} bytes to guest")
+    channel = world.anception.channel
+    print("\n=== Redirection statistics ===")
+    print(f"  decisions     : {dict(world.anception.decisions)}")
+    print(f"  channel       : {channel.transfers} transfers, "
+          f"{channel.bytes_to_guest} bytes to guest")
 
     print("\n=== Anatomy of one redirected 4 KB write (Table I row 2) ===")
     from repro.kernel import vfs

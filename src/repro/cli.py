@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 
@@ -152,75 +153,21 @@ def _emit(data, out_path):
         print(data)
 
 
-def _ring_summary(anception):
-    """One human line of ring/doorbell state for stderr.
-
-    Counters come from the layer's aggregated ``stats()``, so with a
-    multi-CVM pool they are fleet-wide sums (identical to the lone
-    channel's numbers at ``cvms=1``).
-    """
-    stats = anception.stats()["channel"]
-    submit = stats.get("submit_ring", {})
-    return (
-        f"ring: depth={submit.get('depth', 0)}"
-        f" max_queued={submit.get('max_depth_seen', 0)}"
-        f" submitted={submit.get('pushed', 0)}"
-        f" coalesced_doorbells={stats.get('coalesced_doorbells', 0)}"
-        f" descriptors_retired={stats.get('descriptors_retired', 0)}"
-    )
-
-
-def _cache_summary(anception):
-    """One human line of read-cache state for stderr (or None if off).
-
-    Aggregated across lanes (hit_rate recomputed from the summed
-    hit/miss counts) when the pool has more than one CVM.
-    """
-    stats = anception.stats()["read_cache"]
-    if stats is None:
-        return None
-    return (
-        f"read-cache: pages={stats['pages']}/{stats['max_pages']}"
-        f" hits={stats['hits']} misses={stats['misses']}"
-        f" hit_rate={stats['hit_rate']}"
-        f" readahead={stats['readahead_pages']}"
-        f" invalidated={stats['invalidated_pages']}"
-    )
-
-
-def _wb_summary(anception):
-    """One human line of write-behind state for stderr (or None if off).
-
-    Aggregated across lanes when the pool has more than one CVM.
-    """
-    stats = anception.stats()["write_behind"]
-    if stats is None:
-        return None
-    return (
-        f"write-behind: depth={stats['depth']}"
-        f" enqueued={stats['enqueued']} drains={stats['drains']}"
-        f" fences={stats['fences']}"
-        f" deferred_errors={stats['deferred_errors']}"
-        f" max_depth_seen={stats['max_depth_seen']}"
-    )
-
-
-def _binder_summary(anception):
-    """One human line of binder-ring state for stderr (or None if off).
-
-    Aggregated across lanes when the pool has more than one CVM.
-    """
-    stats = anception.stats()["binder_ring"]
-    if stats is None:
-        return None
-    return (
-        f"binder-ring: depth={stats['depth']}"
-        f" enqueued={stats['enqueued']} drains={stats['drains']}"
-        f" fences={stats['fences']}"
-        f" deferred_errors={stats['deferred_errors']}"
-        f" bulk_parcels={stats['bulk_parcels']}"
-        f" max_depth_seen={stats['max_depth_seen']}"
-    )
+def _counter_summary(counters, lanes):
+    """The run's counters as stderr lines: one per lane (``host`` and
+    the pool's lanes, in that order) and a ``layer:`` line for the
+    counters that carry no lane.  Entries read ``name[labels]=value``
+    with the ``_total`` suffix dropped and the other labels in order."""
+    lines = {lane: [] for lane in (*lanes, "layer")}
+    for name, entries in counters.items():
+        short = name[:-len("_total")]
+        for entry in entries:
+            labels = dict(entry["labels"])
+            lane = labels.pop("lane", "layer")
+            tail = f"[{','.join(labels.values())}]" if labels else ""
+            lines[lane].append(f"{short}{tail}={entry['value']}")
+    return "\n".join(" ".join((f"{lane}:", *items))
+                     for lane, items in lines.items())
 
 
 def _config(args):
@@ -240,31 +187,6 @@ def _config(args):
         cvms=args.cvms,
         placement=args.placement,
     )
-
-
-def _pool_summary(anception):
-    """Per-CVM stderr lines for multi-lane pools (or None single-lane)."""
-    pool = anception.pool
-    if len(pool) <= 1:
-        return None
-    stats = anception.stats()
-    pool_stats = stats["pool"]
-    lines = [
-        f"pool: cvms={pool_stats['cvms']}"
-        f" placement={pool_stats['placement']['policy']}"
-        f" assignments={pool_stats['assignments']}"
-        f" flaps={pool_stats['flaps']}"
-        f" migrations={pool_stats['migrations']}"
-    ]
-    for lane_name, entry in sorted(stats["per_cvm"].items()):
-        lines.append(
-            f"  {lane_name}: residents={entry['residents']}"
-            f" proxies={entry['proxies']}"
-            f" transfers={entry['channel']['transfers']}"
-            f" reboots={entry['reboots']}"
-            + (" CRASHED" if entry["crashed"] else "")
-        )
-    return "\n".join(lines)
 
 
 def cmd_trace(args):
@@ -297,19 +219,10 @@ def cmd_trace(args):
         f" sim/host={result.elapsed_ns / host_ns:.3f}",
         file=sys.stderr,
     )
-    print(_ring_summary(result.world.anception), file=sys.stderr)
-    cache_line = _cache_summary(result.world.anception)
-    if cache_line is not None:
-        print(cache_line, file=sys.stderr)
-    wb_line = _wb_summary(result.world.anception)
-    if wb_line is not None:
-        print(wb_line, file=sys.stderr)
-    binder_line = _binder_summary(result.world.anception)
-    if binder_line is not None:
-        print(binder_line, file=sys.stderr)
-    pool_lines = _pool_summary(result.world.anception)
-    if pool_lines is not None:
-        print(pool_lines, file=sys.stderr)
+    lanes = ["host"] + [lane.name
+                        for lane in result.world.anception.pool.lanes]
+    print(_counter_summary(result.metrics.counters(), lanes),
+          file=sys.stderr)
 
 
 def cmd_metrics(args):
@@ -371,6 +284,20 @@ def cmd_report(args):
     _emit(report_json(trace, top=args.top), getattr(args, "out", None))
 
 
+@contextmanager
+def _reruns(workload):
+    """Guard runs of ``workload`` on a world it may already have run
+    on: a workload that cannot run twice (it creates what it then finds
+    already there) is a clean error, not a traceback."""
+    from repro.errors import ReproError
+
+    try:
+        yield
+    except ReproError as exc:
+        sys.exit(f"anception: error: workload {workload} cannot run again "
+                 f"on the same world: {exc}")
+
+
 def cmd_snapshot(args):
     """Boot, warm up, and write a deterministic world snapshot blob."""
     from repro.core.snapshot import describe_snapshot
@@ -384,8 +311,9 @@ def cmd_snapshot(args):
     warmup = args.warmup
     host_t0 = time.perf_counter_ns()
     world, target = warm_start(workload, fn, config=_config(args))
-    for _ in range(warmup):
-        fn(target)
+    with _reruns(workload):
+        for _ in range(warmup):
+            fn(target)
     blob = world.snapshot(meta={"workload": workload, "warmup": warmup})
     out = getattr(args, "out", None) or "world.snap"
     _emit(blob, out)
@@ -438,7 +366,8 @@ def cmd_resume(args):
         sys.exit(f"anception: error: snapshot {path} holds no launched "
                  "app on an Anception world")
     seed = getattr(args, "seed", 0)
-    result = run_traced(workload, seed=seed, world=world)
+    with _reruns(workload):
+        result = run_traced(workload, seed=seed, world=world)
     print(
         f"resumed {path}: workload={workload}"
         f" restore_ms={restore_ms:.1f}"
@@ -452,9 +381,10 @@ def cmd_resume(args):
     fn = TRACE_WORKLOADS[workload]
     fresh, target = warm_start(workload, fn,
                                config=world.anception.config)
-    for _ in range(warmup):
-        fn(target)
-    run_traced(workload, seed=seed, world=fresh)
+    with _reruns(workload):
+        for _ in range(warmup):
+            fn(target)
+        run_traced(workload, seed=seed, world=fresh)
     resumed_digest = world_digest(world)
     straight_digest = world_digest(fresh)
     if resumed_digest != straight_digest:

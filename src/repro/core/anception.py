@@ -1784,102 +1784,3 @@ class AnceptionLayer:
         image = self.host_kernel.syscall(child, "execve", path, argv)
         result = run_payload(self.host_kernel, child, image)
         return child, result
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    _AGG_FIRST_KEYS = ("depth", "max_pages")
-    _AGG_MAX_KEYS = ("max_depth_seen",)
-
-    @classmethod
-    def _agg(cls, dicts):
-        """Merge per-lane stats dicts into one fleet-wide view.
-
-        A single dict passes through unchanged (the ``cvms=1``
-        byte-identity pin).  Across lanes: numeric counters sum, bools
-        OR, configured bounds take the first lane's value, high-water
-        marks take the max, nested dicts merge recursively, and the
-        cache hit rate is recomputed from the summed hits/misses.
-        """
-        if len(dicts) == 1:
-            return dict(dicts[0])
-        merged = {}
-        for key in dicts[0]:
-            values = [d[key] for d in dicts]
-            first = values[0]
-            if key in cls._AGG_FIRST_KEYS:
-                merged[key] = first
-            elif key in cls._AGG_MAX_KEYS:
-                merged[key] = max(values)
-            elif isinstance(first, dict):
-                merged[key] = cls._agg(values)
-            elif isinstance(first, bool):
-                merged[key] = any(values)
-            elif isinstance(first, (int, float)):
-                merged[key] = sum(values)
-            else:
-                merged[key] = first
-        if "hit_rate" in merged and "hits" in merged and "misses" in merged:
-            looked = merged["hits"] + merged["misses"]
-            merged["hit_rate"] = (
-                round(merged["hits"] / looked, 4) if looked else 0.0
-            )
-        return merged
-
-    def stats(self):
-        """Layer-wide summary; counters aggregate across every lane.
-
-        At ``cvms=1`` the shape (and every value) is byte-identical to
-        the pre-pool layer.  With more lanes the top-level counters are
-        fleet-wide sums and two extra keys appear: ``pool`` (placement
-        and residency) and ``per_cvm`` (the per-lane breakdown).
-        """
-        lanes = self.pool.lanes
-        summary = {
-            "decisions": dict(self.decisions),
-            "proxies": sum(lane.proxies.count for lane in lanes),
-            "blocked_calls": self.blocked_calls.total,
-            "killed_apps": self.killed_apps.total,
-            "channel": self._agg([lane.channel.stats() for lane in lanes]),
-            "read_cache": (
-                self._agg([lane.page_cache.stats() for lane in lanes])
-                if lanes[0].page_cache is not None else None
-            ),
-            "write_behind": (
-                self._agg([lane.write_behind.stats() for lane in lanes])
-                if lanes[0].write_behind is not None else None
-            ),
-            "binder_ring": (
-                self._agg([lane.binder_ring.stats() for lane in lanes])
-                if lanes[0].binder_ring is not None else None
-            ),
-            "cvm_crashed": any(lane.cvm.crashed for lane in lanes),
-            "cvm_reboots": sum(lane.cvm.reboot_count for lane in lanes),
-            "recoveries": len(self.recovery_log),
-        }
-        if len(lanes) > 1:
-            summary["pool"] = self.pool.stats()
-            summary["per_cvm"] = {
-                lane.name: {
-                    "residents": len(self.pool.pids_on(lane)),
-                    "proxies": lane.proxies.count,
-                    "crashed": lane.cvm.crashed,
-                    "reboots": lane.cvm.reboot_count,
-                    "channel": lane.channel.stats(),
-                    "read_cache": (
-                        lane.page_cache.stats()
-                        if lane.page_cache is not None else None
-                    ),
-                    "write_behind": (
-                        lane.write_behind.stats()
-                        if lane.write_behind is not None else None
-                    ),
-                    "binder_ring": (
-                        lane.binder_ring.stats()
-                        if lane.binder_ring is not None else None
-                    ),
-                }
-                for lane in lanes
-            }
-        return summary

@@ -187,21 +187,6 @@ class AnceptionChannel:
         """Drop all in-flight descriptors (recovery / rebind path)."""
         return self.submit_ring.reset() + self.complete_ring.reset()
 
-    def stats(self):
-        return {
-            "transfers": self.transfers,
-            "bytes_to_guest": self.bytes_to_guest,
-            "bytes_to_host": self.bytes_to_host,
-            "bulk_chunks": self.bulk_chunks,
-            "hypercalls": self.hypervisor.hypercall_count,
-            "interrupts": self.hypervisor.interrupt_count,
-            "integrity_failures": self.integrity_failures,
-            "submit_ring": self.submit_ring.stats(),
-            "complete_ring": self.complete_ring.stats(),
-            "coalesced_doorbells": self.hypervisor.coalesced_doorbells,
-            "descriptors_retired": self.hypervisor.descriptors_retired,
-        }
-
 
 class _BulkCopyWindow:
     """Re-entrant flag window for :meth:`AnceptionChannel.bulk_copy`."""

@@ -285,18 +285,6 @@ class CVMPool:
 
     # -- introspection -------------------------------------------------------
 
-    def stats(self):
-        return {
-            "cvms": len(self.lanes),
-            "placement": self.placement.describe(),
-            "assignments": self.assignments,
-            "flaps": self.flaps,
-            "migrations": self.migrations,
-            "residents": {
-                lane.name: len(self.pids_on(lane)) for lane in self.lanes
-            },
-        }
-
     def __len__(self):
         return len(self.lanes)
 

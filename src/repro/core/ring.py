@@ -234,19 +234,6 @@ class DelegationRing:
         self._queue.clear()
         return dropped
 
-    def stats(self):
-        return {
-            "depth": self.depth,
-            "queued": len(self._queue),
-            "pushed": self.pushed,
-            "popped": self.popped,
-            "max_depth_seen": self.max_depth_seen,
-            "stalls": self.stalls,
-            "out_of_order": self.out_of_order,
-            "deferred_pushed": self.deferred_pushed,
-            "binder_pushed": self.binder_pushed,
-        }
-
     def __repr__(self):
         return (
             f"DelegationRing({self.name}, depth={self.depth}, "

@@ -8,7 +8,7 @@ delegation bundle (ring pairs with in-flight descriptors serialized as
 staged, page cache, write-behind and binder windows with their
 deferred-errno ledgers, proxies, placement map) — into a versioned blob
 that restores byte-identically: snapshot → restore → run produces the
-same trace digests, stats, and VFS tree as a never-snapshotted run,
+same trace digests, counters, and VFS tree as a never-snapshotted run,
 including mid-chaos-plan snapshots that resume with the fault engine's
 trigger cursor and PRNG state intact.
 
@@ -429,19 +429,53 @@ def vfs_digest(kernel, root_path="/"):
     return h.hexdigest()
 
 
+def _scalars(component):
+    """The int and bool fields of one component, in name order."""
+    return [(name, value) for name, value in sorted(vars(component).items())
+            if type(value) in (int, bool)]
+
+
+def _lane_state(layer, lane):
+    """What a lane holds besides its counters and its VFS tree."""
+    channel = lane.channel
+    state = [
+        lane.name, len(layer.pool.pids_on(lane)), lane.proxies.count,
+        lane.cvm.crashed, _scalars(lane.cvm), _scalars(lane.cvm.hypervisor),
+        _scalars(channel),
+    ]
+    for ring in (channel.submit_ring, channel.complete_ring):
+        state.append((len(ring), _scalars(ring)))
+    cache = lane.page_cache
+    if cache is not None:
+        state.append((len(cache._pages), len(cache._sizes),
+                      _scalars(cache)))
+    for windows in (lane.write_behind, lane.binder_ring):
+        if windows is not None:
+            state.append((windows.staged, _scalars(windows)))
+    return state
+
+
 def world_digest(world):
-    """One behavioral digest of a world: clock + stats + every VFS tree.
+    """One behavioral digest of a world: clock, counters, lane state and
+    every VFS tree.
 
     This is the equality the acceptance gate pins: a restored world that
     runs the remaining ops must end with the same digest as the
     never-snapshotted run.
     """
+    from repro.obs.metrics import read_counts
+
     h = hashlib.sha256()
     h.update(f"clock {world.clock.now_ns}\n".encode())
     h.update(f"host {vfs_digest(world.machine.kernel)}\n".encode())
+    h.update(repr(sorted(read_counts(world).items())).encode())
     anception = getattr(world, "anception", None)
     if anception is not None:
-        h.update(repr(anception.stats()).encode())
+        h.update(repr((
+            sorted(anception.decisions.items()),
+            anception.killed_apps.total, _scalars(anception.pool),
+            [_lane_state(anception, lane) for lane in anception.pool.lanes],
+        )).encode())
         for lane in anception.pool.lanes:
             h.update(
                 f"\n{lane.name} {vfs_digest(lane.cvm.kernel)}\n".encode()

@@ -74,7 +74,6 @@ class WindowPolicy:
     """``(cost attribute, label)`` paid once per drained window."""
     parcels: bool = False
     """Entries are binder parcels, billed like the synchronous path."""
-    extra_stats: tuple = ()
 
     def __reduce__(self):
         return self.name
@@ -113,7 +112,7 @@ BINDER = WindowPolicy(
     reap_site="binder.reply-loss", reap_call="ioctl",
     ring_flags=RING_FLAG_BINDER, window_fault="binder.reorder",
     window_charge=("binder_cvm_fixed_ns", "anception:binder-window"),
-    parcels=True, extra_stats=("bulk_parcels", "dropped", "reordered"),
+    parcels=True,
 )
 
 
@@ -183,6 +182,11 @@ class AsyncWindows:
             window = self.windows[task.pid] = Window(task)
         return window
 
+    @property
+    def staged(self):
+        """Entries staged in the open windows, not yet drained."""
+        return sum(len(window.entries) for window in self.windows.values())
+
     def pending_windows(self):
         """Windows with staged entries, in deterministic pid order."""
         return [w for _pid, w in sorted(self.windows.items()) if w.entries]
@@ -203,20 +207,6 @@ class AsyncWindows:
         descriptors and services they named died with the old CVM)."""
         self.windows.clear()
         self.errors.clear()
-
-    def stats(self):
-        stats = {
-            "depth": self.depth,
-            "enqueued": self.enqueued,
-            "drains": self.drains,
-            "fences": self.fences,
-            "deferred_errors": self.deferred_errors,
-        }
-        for name in self.policy.extra_stats:
-            stats[name] = getattr(self, name)
-        stats["pending"] = sum(len(w.entries) for w in self.windows.values())
-        stats["max_depth_seen"] = self.max_depth_seen
-        return stats
 
     # -- staging -------------------------------------------------------------
 

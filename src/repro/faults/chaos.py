@@ -45,7 +45,7 @@ class ChaosResult:
     """Everything one chaos run produced."""
 
     def __init__(self, workload, seed, plan, status, error, elapsed_ns,
-                 faults, recovery_log, stats, records, metrics, world):
+                 faults, recovery_log, records, metrics, world):
         self.workload = workload
         self.seed = seed
         self.plan = plan
@@ -54,7 +54,6 @@ class ChaosResult:
         self.elapsed_ns = elapsed_ns
         self.faults = faults
         self.recovery_log = recovery_log
-        self.stats = stats
         self.records = records
         self.metrics = metrics
         self.world = world
@@ -70,7 +69,6 @@ class ChaosResult:
             "elapsed_ns": self.elapsed_ns,
             "faults": self.faults,
             "recoveries": [list(entry) for entry in self.recovery_log],
-            "stats": self.stats,
             "metrics": self.metrics.snapshot(self.records),
         }
 
@@ -134,7 +132,6 @@ def run_chaos(workload, seed=0, faults=None, recovery=True, observe=True,
         elapsed_ns=elapsed_ns,
         faults=engine.report(),
         recovery_log=list(world.anception.recovery_log),
-        stats=world.anception.stats(),
         records=records,
         metrics=metrics,
         world=world,

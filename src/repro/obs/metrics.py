@@ -8,12 +8,20 @@ a baseline when it is built and reports deltas since then, so counters
 cost nothing until read and a dormant (untraced) run counts exactly
 what a traced one does.  Only the four histograms need per-record
 detail; they are built from a capture's records when a snapshot is
-taken, so an untraced run reports them empty.
+taken, so an untraced run reports them empty.  This is the one
+counter reader: the trace summary, the chaos report and the world
+digest all read :func:`read_counts`.
+
+Per-lane counters carry ``lane`` as their first label: ``host`` for the
+host kernel, the pool lane's name for a CVM lane.  Layer-wide counters
+(blocked calls, recoveries, injected faults) carry none.
 
 The monotone rule: no count the registry reads may go down.  A CVM
 reboot replaces its lane's channel, proxy manager, guest kernel and
 binder driver, so the layer folds their counts into ``lane.retired``
 first (:func:`retire_lane`); everything else a lane holds survives.
+``lane.retired`` is keyed without the lane label, which is added when
+it is read.
 
 Snapshots are plain JSON-able dicts with deterministic ordering, so two
 identical runs serialize byte-identically and CI can diff them.
@@ -27,25 +35,28 @@ from repro.kernel.syscalls import classify
 
 COUNTERS = dict.fromkeys((
     "binder_deferred_errors_total", "binder_drains_total",
-    "binder_fences_total", "binder_submits_total", "blocked_calls_total",
-    "cache_hits_total", "cache_misses_total", "irqs_total",
+    "binder_fences_total", "binder_submits_total", "cache_hits_total",
+    "cache_misses_total", "cvm_reboots_total", "irqs_total",
     "page_faults_total", "proxy_calls_total", "ring_completes_total",
     "ring_submits_total", "wb_deferred_errors_total", "wb_drains_total",
     "wb_fences_total", "wb_submits_total",
-), ())
+), ("lane",))
 COUNTERS.update({
-    "binder_txns_total": ("lane",),
-    "cache_fill_pages_total": ("lane",),
-    "cache_invalidations_total": ("cause",),
-    "channel_bytes_total": ("direction",),
-    "channel_chunks_total": ("direction",),
-    "doorbells_coalesced_total": ("direction",),
+    "binder_txns_total": ("lane", "kind"),
+    "blocked_calls_total": (),
+    "cache_fill_pages_total": ("lane", "kind"),
+    "cache_invalidations_total": ("lane", "cause"),
+    "channel_bytes_total": ("lane", "direction"),
+    "channel_chunks_total": ("lane", "direction"),
+    "doorbells_coalesced_total": ("lane", "direction"),
     "faults_injected_total": ("site",),
     "recoveries_total": ("action",),
-    "syscalls_total": ("sclass", "disposition"),
-    "world_switches_total": ("direction",),
+    "syscalls_total": ("lane", "sclass", "disposition"),
+    "world_switches_total": ("lane", "direction"),
 })
-"""Counter name -> label names."""
+"""Counter name -> label names.  ``lane`` is ``host`` for the host
+kernel's traps, page faults and binder transactions, and the pool lane's
+name (``cvm``, ``cvm1``, ...) for everything a CVM lane holds."""
 
 
 def _count(counts, name, value, *labels):
@@ -62,78 +73,88 @@ def _kernel(counts, kernel, binder):
             _count(counts, "syscalls_total", value, classify(call).value,
                    disposition)
     _count(counts, "page_faults_total", kernel.page_faults)
-    for lane, value in binder.transactions.items():
-        _count(counts, "binder_txns_total", value, lane)
+    for kind, value in binder.transactions.items():
+        _count(counts, "binder_txns_total", value, kind)
 
 
-def _replaced_on_reboot(counts, lane, channel_stats):
+def _replaced_on_reboot(counts, lane):
     """Counts held by the lane objects a reboot replaces: the channel
     and its rings, the proxy manager, the guest kernel and its binder
-    driver."""
+    driver.  Keyed without the lane label."""
     channel = lane.channel
-    for direction in ("to-guest", "to-host"):
-        carried = (channel_stats["bytes_" + direction.replace("-", "_")]
-                   + channel.refused_bytes[direction])
-        _count(counts, "channel_bytes_total", carried, direction)
+    carried = {"to-guest": channel.bytes_to_guest,
+               "to-host": channel.bytes_to_host}
+    for direction, value in carried.items():
+        _count(counts, "channel_bytes_total",
+               value + channel.refused_bytes[direction], direction)
         _count(counts, "channel_chunks_total", channel.chunks[direction],
                direction)
-    _count(counts, "ring_submits_total",
-           channel_stats["submit_ring"]["pushed"])
-    _count(counts, "ring_completes_total",
-           channel_stats["complete_ring"]["pushed"])
+    _count(counts, "ring_submits_total", channel.submit_ring.pushed)
+    _count(counts, "ring_completes_total", channel.complete_ring.pushed)
     _count(counts, "proxy_calls_total", lane.proxies.executed)
     _kernel(counts, lane.cvm.kernel, lane.cvm.android.binder_driver)
 
 
 def retire_lane(lane):
     """Fold what a reboot is about to replace into ``lane.retired``."""
-    _replaced_on_reboot(lane.retired, lane, lane.channel.stats())
+    _replaced_on_reboot(lane.retired, lane)
 
 
-def _lane(counts, lane):
-    for key, value in lane.retired.items():
-        counts[key] = counts.get(key, 0) + value
-    channel_stats = lane.channel.stats()
-    _replaced_on_reboot(counts, lane, channel_stats)
-    # The hypervisor survives reboots; the live channel reads it.
-    _count(counts, "world_switches_total", channel_stats["hypercalls"],
+def _lane(lane):
+    """One lane's counts, keyed without the lane label."""
+    counts = dict(lane.retired)
+    _replaced_on_reboot(counts, lane)
+    # The hypervisor and the container survive reboots.
+    hypervisor = lane.cvm.hypervisor
+    _count(counts, "world_switches_total", hypervisor.hypercall_count,
            "guest->host")
-    _count(counts, "world_switches_total", channel_stats["interrupts"],
+    _count(counts, "world_switches_total", hypervisor.interrupt_count,
            "host->guest")
-    _count(counts, "irqs_total", channel_stats["interrupts"])
-    for direction, value in lane.cvm.hypervisor.coalesced.items():
+    _count(counts, "irqs_total", hypervisor.interrupt_count)
+    for direction, value in hypervisor.coalesced.items():
         _count(counts, "doorbells_coalesced_total", value, direction)
-    if lane.page_cache is not None:
-        cache = lane.page_cache.stats()
-        _count(counts, "cache_hits_total", cache["hits"])
-        _count(counts, "cache_misses_total", cache["misses"])
-        _count(counts, "cache_fill_pages_total", cache["fill_pages"],
-               "demand")
-        _count(counts, "cache_fill_pages_total", cache["readahead_pages"],
+    _count(counts, "cvm_reboots_total", lane.cvm.reboot_count)
+    cache = lane.page_cache
+    if cache is not None:
+        _count(counts, "cache_hits_total", cache.hits)
+        _count(counts, "cache_misses_total", cache.misses)
+        _count(counts, "cache_fill_pages_total", cache.fill_pages, "demand")
+        _count(counts, "cache_fill_pages_total", cache.readahead_pages,
                "readahead")
-        for cause in ("write-through", "invalidated", "evicted"):
-            _count(counts, "cache_invalidations_total",
-                   cache[cause.replace("-", "_") + "_pages"], cause)
+        _count(counts, "cache_invalidations_total",
+               cache.write_through_pages, "write-through")
+        _count(counts, "cache_invalidations_total", cache.invalidated_pages,
+               "invalidated")
+        _count(counts, "cache_invalidations_total", cache.evicted_pages,
+               "evicted")
     for windows in (lane.write_behind, lane.binder_ring):
         if windows is not None:
             prefix = windows.policy.prefix
-            stats = windows.stats()
-            _count(counts, f"{prefix}_submits_total", stats["enqueued"])
-            _count(counts, f"{prefix}_drains_total", stats["drains"])
-            _count(counts, f"{prefix}_fences_total", stats["fences"])
+            _count(counts, f"{prefix}_submits_total", windows.enqueued)
+            _count(counts, f"{prefix}_drains_total", windows.drains)
+            _count(counts, f"{prefix}_fences_total", windows.fences)
             _count(counts, f"{prefix}_deferred_errors_total",
-                   stats["deferred_errors"])
+                   windows.deferred_errors)
+    return counts
+
+
+def _labelled(counts, lane_name, own):
+    """Add one lane's counts to ``counts`` under its ``lane`` label."""
+    for (name, labels), value in own.items():
+        counts[name, (lane_name, *labels)] = value
 
 
 def read_counts(world, engine=None):
     """Every counter of ``world`` (and of ``engine``), as a flat
     ``{(name, label values): value}`` map of non-zero counts."""
     counts = {}
-    _kernel(counts, world.machine.kernel, world.system.binder_driver)
+    host = {}
+    _kernel(host, world.machine.kernel, world.system.binder_driver)
+    _labelled(counts, "host", host)
     layer = world.anception
     if layer is not None:
         for lane in layer.pool.lanes:
-            _lane(counts, lane)
+            _labelled(counts, lane.name, _lane(lane))
         _count(counts, "blocked_calls_total", layer.blocked_calls.total)
         for action, _detail in layer.recovery_log:
             _count(counts, "recoveries_total", 1, action)

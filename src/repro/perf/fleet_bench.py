@@ -78,7 +78,8 @@ def bench_pool_size(cvms, apps=DEFAULT_APPS, rounds=DEFAULT_ROUNDS):
         "sim_ms": round(sim_ns / 1e6, 3),
         "syscalls_per_sim_sec": round(rate, 1),
         "fleet_digest": summary["fleet_digest"],
-        "residents": pool.stats()["residents"],
+        "residents": {lane.name: len(pool.pids_on(lane))
+                      for lane in pool.lanes},
     }
 
 

@@ -225,10 +225,10 @@ def run_write_behind_bench(chunk=CHUNK, total_bytes=SIXTEEN_MB):
         "sync_per_call_us": round(sync_span.elapsed_us / calls, 2),
         "wb_per_call_us": round(wb_span.elapsed_us / calls, 2),
         "bytes_match": sync_ok and wb_ok,
-        "write_behind": wb_world.anception.stats()["write_behind"],
-        "deferred_pushed": wb_world.anception.channel.submit_ring.stats()[
-            "deferred_pushed"
-        ],
+        "wb_enqueued": wb_world.anception.write_behind.enqueued,
+        "wb_pending": wb_world.anception.write_behind.staged,
+        "deferred_pushed":
+            wb_world.anception.channel.submit_ring.deferred_pushed,
     }
 
 
@@ -262,15 +262,14 @@ def run_binder_bench(transactions=128, payload_bytes=64):
         running.run()
         ctx = running.ctx
         ctx.call_service("location", "get_fix", payload)  # warm proxy fd
-        channel = world.anception.channel
-        before = channel.stats()
-        doorbells_before = before["hypercalls"] + before["interrupts"]
+        hypervisor = world.anception.channel.hypervisor
+        doorbells_before = (hypervisor.hypercall_count
+                            + hypervisor.interrupt_count)
         with ctx.kernel.clock.measure() as span:
             for _ in range(transactions):
                 ctx.call_service_oneway("location", "get_fix", payload)
             reply = ctx.call_service("location", "get_fix", payload)
-        after = channel.stats()
-        doorbells = (after["hypercalls"] + after["interrupts"]
+        doorbells = (hypervisor.hypercall_count + hypervisor.interrupt_count
                      - doorbells_before)
         return span, world, reply, doorbells
 
@@ -279,6 +278,7 @@ def run_binder_bench(transactions=128, payload_bytes=64):
         True
     )
     total_txns = transactions + 1
+    binder_ring = batched_world.anception.binder_ring
     sync_ms = round(sync_span.elapsed_us / 1000, 2)
     batched_ms = round(batched_span.elapsed_us / 1000, 2)
     sync_per_1000 = round(sync_doorbells * 1000 / total_txns, 1)
@@ -299,10 +299,11 @@ def run_binder_bench(transactions=128, payload_bytes=64):
         "doorbells_per_1000_batched": batched_per_1000,
         "doorbell_ratio": round(batched_per_1000 / sync_per_1000, 4),
         "replies_match": sync_reply == batched_reply,
-        "binder_ring": batched_world.anception.stats()["binder_ring"],
-        "binder_pushed": batched_world.anception.channel.submit_ring.stats()[
-            "binder_pushed"
-        ],
+        "binder_enqueued": binder_ring.enqueued,
+        "binder_pending": binder_ring.staged,
+        "binder_deferred_errors": binder_ring.deferred_errors,
+        "binder_pushed":
+            batched_world.anception.channel.submit_ring.binder_pushed,
     }
 
 

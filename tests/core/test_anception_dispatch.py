@@ -176,9 +176,8 @@ class TestBlockedCalls:
                 enrolled_ctx.libc.syscall("reboot")
         assert len(layer.blocked_calls) <= layer.blocked_calls.limit
         assert len(layer.decision_log) <= layer.decision_log.limit
-        stats = layer.stats()
-        assert stats["blocked_calls"] == 2000
-        assert stats["decisions"]["block"] == 2000
+        assert layer.blocked_calls.total == 2000
+        assert layer.decisions["block"] == 2000
         assert list(layer.blocked_calls)[-1] == (
             enrolled_ctx.task.pid, "reboot")
 
@@ -226,7 +225,7 @@ class TestCvmCrashHandling:
 class TestStats:
     def test_stats_shape(self, anception_world, enrolled_ctx):
         enrolled_ctx.libc.write_file(enrolled_ctx.data_path("s"), b"x")
-        stats = anception_world.anception.stats()
-        assert stats["proxies"] >= 1
-        assert stats["decisions"]["redirect"] >= 1
-        assert not stats["cvm_crashed"]
+        layer = anception_world.anception
+        assert layer.proxies.count >= 1
+        assert layer.decisions["redirect"] >= 1
+        assert not layer.cvm.crashed

@@ -57,15 +57,14 @@ def _arm(world, plan):
 
 
 def _doorbells(anception):
-    stats = anception.channel.stats()
-    return stats["hypercalls"] + stats["interrupts"]
+    hypervisor = anception.channel.hypervisor
+    return hypervisor.hypercall_count + hypervisor.interrupt_count
 
 
 class TestOptIn:
     def test_library_default_is_off(self):
         world = AnceptionWorld()
         assert world.anception.binder_ring is None
-        assert world.anception.stats()["binder_ring"] is None
 
     def test_depth_defaults_and_override(self):
         default = AnceptionWorld(binder_ring=True)
@@ -92,7 +91,7 @@ class TestStaging:
             "location", "get_fix", {}) is None
         ring = ring_world.anception.binder_ring
         assert ring.enqueued == 1
-        assert ring.stats()["pending"] == 1
+        assert ring.staged == 1
         assert ring.drains == 0
 
     def test_staged_oneway_has_not_reached_the_service(
@@ -114,7 +113,7 @@ class TestStaging:
         # The fifth enqueue hit the depth bound: the first four drained
         # as one window and the fifth is now staged alone.
         assert ring.drains == 1
-        assert ring.stats()["pending"] == 1
+        assert ring.staged == 1
         assert ring.max_depth_seen == 4
 
     def test_window_rides_one_doorbell_pair(self, ring_world, ring_ctx):
@@ -127,7 +126,7 @@ class TestStaging:
         # Eight staged transactions drained for (far) fewer doorbells
         # than eight per-call round trips (2 per call = 16).
         assert 0 < after - before <= 4
-        assert anception.channel.stats()["submit_ring"]["binder_pushed"] == 8
+        assert anception.channel.submit_ring.binder_pushed == 8
 
     def test_payload_snapshot_at_enqueue(self, ring_world, ring_ctx):
         payload = {"tag": "before"}
@@ -167,13 +166,13 @@ class TestFences:
         assert log == [("location", "get_fix")] * 3 + [
             ("power", "acquire_wakelock")
         ]
-        assert ring_world.anception.binder_ring.stats()["pending"] == 0
+        assert ring_world.anception.binder_ring.staged == 0
 
     def test_explicit_fence_settles_the_lane(self, ring_world, ring_ctx):
         ring_ctx.call_service_oneway("location", "get_fix", {})
         assert ring_ctx.libc.fence() == 0
         ring = ring_world.anception.binder_ring
-        assert ring.stats()["pending"] == 0
+        assert ring.staged == 0
         assert ring.fences >= 1
 
     def test_wait_input_fences_staged_oneways(self, ring_world, ring_ctx):
@@ -182,7 +181,7 @@ class TestFences:
         ring_world.type_text("evt")
         ring_ctx.call_service_oneway("location", "get_fix", {})
         assert ring_ctx.wait_input().text == "evt"
-        assert ring_world.anception.binder_ring.stats()["pending"] == 0
+        assert ring_world.anception.binder_ring.staged == 0
 
     def test_file_io_does_not_fence_binder(self, ring_world, ring_ctx):
         from repro.kernel import vfs
@@ -194,7 +193,7 @@ class TestFences:
         ring_ctx.libc.write(fd, b"unrelated")
         ring_ctx.libc.close(fd)
         # Oneway binder traffic does not order against file I/O.
-        assert ring_world.anception.binder_ring.stats()["pending"] == 1
+        assert ring_world.anception.binder_ring.staged == 1
 
 
 class TestDeferredErrors:
@@ -250,7 +249,7 @@ class TestDeferredErrors:
         ring_ctx.call_service_oneway("location", "get_fix", {})
         ring_world.anception.reboot_cvm()
         ring = ring_world.anception.binder_ring
-        assert ring.stats()["pending"] == 0
+        assert ring.staged == 0
         assert not ring.errors
         assert ring_ctx.libc.fence() == 0
 
@@ -327,14 +326,10 @@ class TestObservability:
 
 
 class TestStats:
-    def test_stats_block_shape(self, ring_world, ring_ctx):
+    def test_one_oneway_call_drains_once(self, ring_world, ring_ctx):
         ring_ctx.call_service_oneway("location", "get_fix", {})
         ring_ctx.call_service("location", "get_fix", {})
-        stats = ring_world.anception.stats()["binder_ring"]
-        for key in ("depth", "enqueued", "drains", "fences",
-                    "deferred_errors", "bulk_parcels", "dropped",
-                    "reordered", "max_depth_seen", "pending"):
-            assert key in stats, key
-        assert stats["enqueued"] == 1
-        assert stats["drains"] == 1
-        assert stats["pending"] == 0
+        ring = ring_world.anception.binder_ring
+        assert ring.enqueued == 1
+        assert ring.drains == 1
+        assert ring.staged == 0

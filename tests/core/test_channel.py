@@ -112,14 +112,13 @@ class TestSignalling:
         channel.signal_host("done")
         assert channel.hypervisor.hypercall_count == 1
 
-    def test_stats_snapshot(self, channel):
+    def test_counts_transfers_and_signals(self, channel):
         channel.send_to_guest(b"abc")
         channel.signal_guest("x")
         channel.send_to_host(b"de")
         channel.signal_host("y")
-        stats = channel.stats()
-        assert stats["transfers"] == 2
-        assert stats["bytes_to_guest"] == 3
-        assert stats["bytes_to_host"] == 2
-        assert stats["hypercalls"] == 1
-        assert stats["interrupts"] == 1
+        assert channel.transfers == 2
+        assert channel.bytes_to_guest == 3
+        assert channel.bytes_to_host == 2
+        assert channel.hypervisor.hypercall_count == 1
+        assert channel.hypervisor.interrupt_count == 1

@@ -85,7 +85,7 @@ class TestChannelTyping:
             "(16 bytes, marked corrupt)"
         )
         assert channel.integrity_failures == 1
-        assert channel.stats()["integrity_failures"] == 1
+        assert channel.integrity_failures == 1
         assert channel.bytes_to_guest == 0
 
     def test_truncation_detected(self, channel, machine):

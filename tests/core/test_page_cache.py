@@ -13,6 +13,7 @@ import pytest
 from repro.android.app import App, AppManifest
 from repro.core.page_cache import HostPageCache
 from repro.kernel import vfs
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.costs import PAGE_SIZE
 from repro.world import AnceptionWorld
 
@@ -280,16 +281,18 @@ class TestLayerCoherence:
         assert len(cache) == 0
         assert not cache._sizes
 
-    def test_stats_surface_through_the_layer(self, cache_world, cache_ctx):
+    def test_counts_surface_through_the_registry(self, cache_world,
+                                                 cache_ctx):
+        registry = MetricsRegistry(cache_world)
         fd = _stage(cache_ctx, "stats.bin", 1)
         cache_ctx.libc.pread(fd, PAGE, 0)
         cache_ctx.libc.pread(fd, PAGE, 0)
         cache_ctx.libc.close(fd)
-        stats = cache_world.anception.stats()["read_cache"]
-        assert stats["hits"] >= 1
-        assert stats["misses"] >= 1
-        assert 0.0 < stats["hit_rate"] <= 1.0
+        counters = registry.counters()
+        for name in ("cache_hits_total", "cache_misses_total"):
+            assert [entry["labels"] for entry in counters[name]] \
+                == [{"lane": "cvm"}]
+            assert counters[name][0]["value"] >= 1
 
     def test_cache_off_layer_reports_none(self, anception_world):
         assert anception_world.anception.page_cache is None
-        assert anception_world.anception.stats()["read_cache"] is None

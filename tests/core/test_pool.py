@@ -12,8 +12,7 @@ The tentpole guarantees under test:
 * rebalancing (drain the app's windows, then migrate) moves an app's
   proxy, fd table, data tree with its modes, and ledger state to
   another lane without changing a byte of what the app observes;
-* aggregated ``stats()`` keeps the classic single-CVM shape at
-  ``cvms=1`` and sums across lanes otherwise.
+* every lane-held counter is read under its own lane's label.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repro.errors import SimulationError, SyscallError
 from repro.faults.engine import FaultEngine
 from repro.kernel import vfs
 from repro.kernel.net import AF_INET, SOCK_STREAM
+from repro.obs.metrics import COUNTERS, read_counts
 from repro.workloads.fleet import FleetApp
 from repro.world import AnceptionWorld
 
@@ -123,11 +123,11 @@ class TestRoutedTransport:
         pool = world.anception.pool
         for member in members:
             lane = pool.lane_for(member.task)
-            before = lane.channel.stats()["transfers"]
+            before = lane.channel.transfers
             member.ctx.libc.write_file(
                 member.ctx.data_path("probe.bin"), b"probe"
             )
-            assert lane.channel.stats()["transfers"] > before
+            assert lane.channel.transfers > before
 
     def test_single_cvm_keeps_classic_back_compat_views(self):
         world = AnceptionWorld()
@@ -299,9 +299,9 @@ class TestRebalance:
         ctx.libc.close(fd)
 
         # New traffic lands on the target lane.
-        before = target.channel.stats()["transfers"]
+        before = target.channel.transfers
         ctx.libc.write_file(ctx.data_path("post-move.bin"), b"x")
-        assert target.channel.stats()["transfers"] > before
+        assert target.channel.transfers > before
 
     def test_rebalance_differential_equivalence(self):
         """The moved app's observable stream is byte-identical to a run
@@ -403,34 +403,36 @@ class TestRebalance:
         )
 
 
-class TestStatsAggregation:
-    def test_single_cvm_keeps_the_classic_shape(self):
-        world = AnceptionWorld()
-        running = world.install_and_launch(FleetApp(0))
-        running.run()
-        stats = world.anception.stats()
-        assert "pool" not in stats
-        assert "per_cvm" not in stats
-
-    def test_multi_cvm_counters_are_fleet_sums(self):
-        world = AnceptionWorld(cvms=4, read_cache=True,
+class TestLaneCounters:
+    @pytest.fixture(scope="class")
+    def fleet_world(self):
+        world = AnceptionWorld(cvms=4, placement="by-uid", read_cache=True,
                                async_delegation=True, binder_ring=True)
-        members = _launch_fleet(world, 8)
-        for member in members:
+        for member in _launch_fleet(world, 8):
             member.ctx.libc.write_file(
                 member.ctx.data_path("agg.bin"), b"agg"
             )
-        stats = world.anception.stats()
-        per_cvm = stats["per_cvm"]
-        assert set(per_cvm) == {"cvm", "cvm1", "cvm2", "cvm3"}
-        assert stats["channel"]["transfers"] == sum(
-            entry["channel"]["transfers"] for entry in per_cvm.values()
-        )
-        assert stats["proxies"] == sum(
-            entry["proxies"] for entry in per_cvm.values()
-        )
-        assert sum(stats["pool"]["residents"].values()) == 8
-        assert stats["pool"]["assignments"] == 8
+        return world
+
+    def test_every_lane_label_names_the_host_or_a_pool_lane(self,
+                                                            fleet_world):
+        pool = fleet_world.anception.pool
+        names = {"host"} | {lane.name for lane in pool.lanes}
+        seen = {labels[0] for (name, labels) in read_counts(fleet_world)
+                if COUNTERS[name][:1] == ("lane",)}
+        assert seen <= names
+        assert len(seen & {lane.name for lane in pool.lanes}) > 1
+
+    def test_ring_submits_are_read_per_lane(self, fleet_world):
+        counts = read_counts(fleet_world)
+        for lane in fleet_world.anception.pool.lanes:
+            assert counts.get(("ring_submits_total", (lane.name,)), 0) \
+                == lane.channel.submit_ring.pushed
+
+    def test_pool_counts_every_resident(self, fleet_world):
+        pool = fleet_world.anception.pool
+        assert sum(len(pool.pids_on(lane)) for lane in pool.lanes) == 8
+        assert pool.assignments == 8
 
     def test_world_repr_reports_the_pool(self):
         world = AnceptionWorld(cvms=4)

@@ -118,9 +118,9 @@ class TestDoorbellCoalescing:
                                          enrolled_ctx):
         channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "c.bin")
-        before = channel.stats()["coalesced_doorbells"]
+        before = channel.hypervisor.coalesced_doorbells
         enrolled_ctx.libc.writev(fd, [b"k" * 8 for _ in range(8)])
-        after = channel.stats()["coalesced_doorbells"]
+        after = channel.hypervisor.coalesced_doorbells
         assert after >= before + 2  # submit IRQ + completion hypercall
 
     def test_coalesced_event_on_the_bus(self, anception_world,
@@ -138,18 +138,18 @@ class TestDoorbellCoalescing:
     def test_single_call_is_not_counted_coalesced(self, anception_world,
                                                   enrolled_ctx):
         channel = anception_world.anception.channel
-        before = channel.stats()["coalesced_doorbells"]
+        before = channel.hypervisor.coalesced_doorbells
         enrolled_ctx.libc.syscall("mkdir", enrolled_ctx.data_path("solo"))
-        assert channel.stats()["coalesced_doorbells"] == before
+        assert channel.hypervisor.coalesced_doorbells == before
 
     def test_descriptors_retired_accounting(self, anception_world,
                                             enrolled_ctx):
         channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "r.bin")
-        before = channel.stats()["descriptors_retired"]
+        before = channel.hypervisor.descriptors_retired
         enrolled_ctx.libc.writev(fd, [b"t" * 4 for _ in range(6)])
         # 6 descriptors on the submit IRQ + 6 on the completion hypercall
-        assert channel.stats()["descriptors_retired"] == before + 12
+        assert channel.hypervisor.descriptors_retired == before + 12
 
 
 class TestBatchWindows:
@@ -159,13 +159,13 @@ class TestBatchWindows:
         channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "b.bin")
         irq_before = hypervisor.interrupt_count
-        pushed_before = channel.submit_ring.stats()["pushed"]
+        pushed_before = channel.submit_ring.pushed
         results = enrolled_ctx.libc.syscall_batch(
             [("write", fd, b"part-%d|" % i) for i in range(8)]
         )
         assert results == [len(b"part-%d|" % i) for i in range(8)]
         # eight consecutive same-fd writes merge into one descriptor
-        assert channel.submit_ring.stats()["pushed"] == pushed_before + 1
+        assert channel.submit_ring.pushed == pushed_before + 1
         assert hypervisor.interrupt_count == irq_before + 1
         enrolled_ctx.libc.lseek(fd, 0)
         assert enrolled_ctx.libc.read(fd, 64) == b"".join(
@@ -179,7 +179,7 @@ class TestBatchWindows:
         channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "w.bin")
         irq_before = hypervisor.interrupt_count
-        pushed_before = channel.submit_ring.stats()["pushed"]
+        pushed_before = channel.submit_ring.pushed
         # both writes queue with optimistic byte counts (the host getpid
         # between them flushes nothing); the window's end sends their
         # two descriptors behind a single doorbell
@@ -189,7 +189,7 @@ class TestBatchWindows:
         ])
         assert results == [8, enrolled_ctx.task.pid, 2]
         assert hypervisor.interrupt_count == irq_before + 1
-        assert channel.submit_ring.stats()["pushed"] == pushed_before + 2
+        assert channel.submit_ring.pushed == pushed_before + 2
         enrolled_ctx.libc.lseek(fd, 0)
         assert enrolled_ctx.libc.read(fd, 8) == b"DEferred"
 
@@ -252,12 +252,12 @@ class TestBatchWindows:
         channel = anception_world.anception.channel
         fd = _open_scratch(enrolled_ctx, "p.bin")
         enrolled_ctx.libc.write(fd, b"\x00" * 16)
-        pushed_before = channel.submit_ring.stats()["pushed"]
+        pushed_before = channel.submit_ring.pushed
         enrolled_ctx.libc.syscall_batch([
             ("pwrite64", fd, b"AA", 0),
             ("pwrite64", fd, b"BB", 8),
         ])
-        assert channel.submit_ring.stats()["pushed"] == pushed_before + 2
+        assert channel.submit_ring.pushed == pushed_before + 2
         assert enrolled_ctx.libc.pread(fd, 2, 0) == b"AA"
         assert enrolled_ctx.libc.pread(fd, 2, 8) == b"BB"
 

@@ -263,6 +263,66 @@ class TestRestoreEqualsBoot:
         assert world_digest(first) == world_digest(second)
 
 
+def _bump(component, field):
+    setattr(component, field, getattr(component, field) + 1)
+
+
+def _lane(world, cvm_id=0):
+    return world.anception.pool.lane_by_id(cvm_id)
+
+
+class TestDigestStrictness:
+    """Every piece of lane and layer state moves ``world_digest``.
+
+    Two restores of one 2-lane binderburst world digest equal; mutating
+    any one field of one copy must change its digest.  ``cvm1`` ran
+    nothing, so its window high-water mark is below ``cvm``'s: a digest
+    of fleet-wide maxima would miss that mutation.
+    """
+
+    MUTATIONS = {
+        "ring-stalls": lambda w: _bump(_lane(w).channel.submit_ring,
+                                       "stalls"),
+        "ring-out-of-order": lambda w: _bump(
+            _lane(w).channel.complete_ring, "out_of_order"),
+        "ring-max-depth-seen": lambda w: _bump(
+            _lane(w).channel.submit_ring, "max_depth_seen"),
+        "channel-transfers": lambda w: _bump(_lane(w).channel,
+                                             "transfers"),
+        "channel-integrity-failures": lambda w: _bump(
+            _lane(w).channel, "integrity_failures"),
+        "hypervisor-descriptors-retired": lambda w: _bump(
+            _lane(w).cvm.hypervisor, "descriptors_retired"),
+        "cached-page": lambda w: _lane(w).page_cache.import_ino(
+            999, 5, [(0, b"page!")]),
+        "window-max-depth-seen": lambda w: _bump(_lane(w, 1).binder_ring,
+                                                 "max_depth_seen"),
+        "window-reordered": lambda w: _bump(_lane(w).binder_ring,
+                                            "reordered"),
+        "pool-flaps": lambda w: _bump(w.anception.pool, "flaps"),
+        "layer-decisions": lambda w: w.anception.decisions.__setitem__(
+            "block", w.anception.decisions["block"] + 1),
+        "killed-apps": lambda w: w.anception.killed_apps.append(4242),
+        "cvm-reboot-count": lambda w: _bump(_lane(w).cvm, "reboot_count"),
+    }
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        config = replace(FAST, cvms=2, placement="by-uid")
+        return run_traced("binderburst", config=config,
+                          observe=False).world.snapshot()
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_moves_the_digest(self, blob, mutation):
+        control = _World.restore(blob)
+        mutated = _World.restore(blob)
+        assert world_digest(mutated) == world_digest(control)
+        assert _lane(control, 1).binder_ring.max_depth_seen \
+            < _lane(control).binder_ring.max_depth_seen - 1
+        self.MUTATIONS[mutation](mutated)
+        assert world_digest(mutated) != world_digest(control)
+
+
 class TestMidChaosResume:
     """An armed fault engine travels with its cursor and PRNG intact."""
 

@@ -94,16 +94,15 @@ class TestDeferral:
     def test_library_default_is_off(self):
         world = AnceptionWorld()
         assert world.anception.write_behind is None
-        assert world.anception.stats()["write_behind"] is None
 
     def test_deferred_write_returns_optimistic_count(self, wb_world, wb_ctx):
         fd = wb_ctx.libc.open(wb_ctx.data_path("d.bin"), TRUNC)
         assert wb_ctx.libc.write(fd, b"deferred") == 8
         wb = wb_world.anception.write_behind
         assert wb.enqueued == 1
-        assert wb.stats()["pending"] == 1
+        assert wb.staged == 1
         wb_ctx.libc.close(fd)
-        assert wb.stats()["pending"] == 0
+        assert wb.staged == 0
 
     def test_writev_defers_per_iovec(self, wb_world, wb_ctx):
         fd = wb_ctx.libc.open(wb_ctx.data_path("v.bin"), TRUNC)
@@ -135,7 +134,7 @@ class TestDeferral:
             wb_ctx.libc.write(fd, b"x" * 64)
         assert wb.drains == 1  # the full window drained once
         assert wb.max_depth_seen == WINDOW_DEPTH
-        assert wb.stats()["pending"] == 1
+        assert wb.staged == 1
         wb_ctx.libc.close(fd)
 
     @pytest.mark.parametrize("policy", [WRITE_BEHIND, BINDER],
@@ -150,9 +149,9 @@ class TestDeferral:
         wb_ctx.libc.write(fd, b"flagged")
         wb_ctx.libc.fence(fd)
         ring = wb_world.anception.channel.submit_ring
-        assert ring.stats()["deferred_pushed"] == 1
+        assert ring.deferred_pushed == 1
         wb_ctx.libc.close(fd)
-        assert ring.stats()["deferred_pushed"] == 1  # close is sync
+        assert ring.deferred_pushed == 1  # close is sync
 
     def test_host_time_per_deferred_call_beats_sync(self, wb_ctx):
         sync_world = AnceptionWorld()
@@ -179,7 +178,7 @@ class TestFences:
         lane = wb_world.anception.cvm.lane
         wb_ctx.libc.fsync(fd)
         assert clock.lane_backlog_ns(lane) == 0
-        assert wb_world.anception.write_behind.stats()["pending"] == 0
+        assert wb_world.anception.write_behind.staged == 0
         wb_ctx.libc.close(fd)
 
     def test_fence_veneer_is_noop_on_sync_worlds(self):
@@ -206,9 +205,9 @@ class TestFences:
         running_b = wb_world.install_and_launch(PeerApp())
         running_b.run()
         running_b.ctx.libc.getpid()  # HOST call: no fence required
-        assert wb_world.anception.write_behind.stats()["pending"] == 1
+        assert wb_world.anception.write_behind.staged == 1
         running_b.ctx.libc.stat(running_b.ctx.data_path(""))  # redirected
-        assert wb_world.anception.write_behind.stats()["pending"] == 0
+        assert wb_world.anception.write_behind.staged == 0
         ctx_a.libc.close(fd)
 
 
@@ -302,4 +301,4 @@ class TestReboot:
         assert wb.errors
         wb_world.anception.reboot_cvm()
         assert not wb.errors
-        assert wb.stats()["pending"] == 0
+        assert wb.staged == 0

@@ -13,6 +13,11 @@ from repro.faults.chaos import (
 )
 
 
+def _reboots(result):
+    return sum(entry["value"] for entry
+               in result.metrics.counters()["cvm_reboots_total"])
+
+
 class TestDefaultTour:
     def test_workload_completes_despite_faults(self):
         result = run_chaos("fileops", seed=7)
@@ -24,7 +29,7 @@ class TestDefaultTour:
 
     def test_cvm_rebooted_and_channels_rebound(self):
         result = run_chaos("fileops", seed=7)
-        assert result.stats["cvm_reboots"] == 1
+        assert _reboots(result) == 1
         actions = [action for action, _ in result.recovery_log]
         assert "reboot-cvm" in actions
         assert "respawn-proxy" in actions
@@ -69,7 +74,7 @@ class TestDegradation:
                            recovery=False)
         assert result.status == "syscall-error"
         assert "EIO" in result.error
-        assert result.stats["cvm_reboots"] == 0
+        assert _reboots(result) == 0
 
     def test_retries_exhausted_surfaces_eio(self):
         # every channel payload corrupts: retry can never win
@@ -83,7 +88,7 @@ class TestDegradation:
         result = run_chaos("fileops", seed=0,
                            faults="cvm.compromise:nth=1:call=mkdir")
         assert result.status == "ok"
-        assert result.stats["cvm_reboots"] >= 1
+        assert _reboots(result) >= 1
         reasons = [detail for action, detail in result.recovery_log
                    if action == "reboot-cvm"]
         assert any("compromised" in reason for reason in reasons)
@@ -276,7 +281,7 @@ class TestWindowFaultReplayPins:
     covers the run's status and error text, elapsed sim ns, fired sites,
     and sha256 prefixes of the fired log, of every traced record (spans,
     events and charges with all their fields), of the recovery log and
-    of the two window stats blocks.
+    of each lane's two window counter tuples.
     """
 
     PLAN = ("binder.reorder:p=0.5;binder.reply-loss:p=0.5;"
@@ -289,14 +294,14 @@ class TestWindowFaultReplayPins:
             302842539,
             {"binder.drop": 1, "binder.reply-loss": 1, "ring.corrupt": 1},
             "66ec699321a3f639", "cc5aebcb1b86f985", "9d6433db1b788618",
-            "05f7f70669015d32",
+            "3a93cc10bfc445a1",
         ),
         ("binderburst", 1, False, 0): (
             "syscall-error",
             "EIO in ioctl (deferred binder delivery error for 'location')",
             94015448, {"binder.reply-loss": 1},
             "b0fb88c84ab12d03", "d5779fbb75f5e835", "4f53cda18c2baa0c",
-            "9aaf6bc193c50134",
+            "b1070e99e1caa19b",
         ),
         ("binderburst", 4, True, 1): (
             "syscall-error",
@@ -304,28 +309,28 @@ class TestWindowFaultReplayPins:
             237252393,
             {"binder.drop": 1, "binder.reorder": 4, "ring.corrupt": 3},
             "d42b965ed8d14822", "517bc5c6d030d0a6", "7edd20050a7dc84d",
-            "1afffec7440fbb7e",
+            "818bbb3146699126",
         ),
         ("binderburst", 4, False, 1): (
             "syscall-error",
             "EIO in ioctl (deferred binder delivery error for 'location')",
             69883388, {"binder.reorder": 1, "ring.corrupt": 1},
             "1043b9b2b82e9a92", "3f735a6a9e0dba98", "4f53cda18c2baa0c",
-            "f8abd308040d487e",
+            "66e23082dc83c1e2",
         ),
         ("writeburst", 1, True, 0): (
             "syscall-error",
             "EIO in fence (deferred write-behind error on fd 3)", 8921980,
             {"ring.corrupt": 4, "wb.error": 1, "wb.reap-loss": 2},
             "b8ef150779eaeec2", "5816aee0fd8ba2a9", "8075b63328981e98",
-            "aff5fe925bbfec81",
+            "af5f8543ae6d06cc",
         ),
         ("writeburst", 4, False, 0): (
             "syscall-error",
             "EIO in fence (deferred write-behind error on fd 3)", 3879708,
             {"ring.corrupt": 1, "wb.reap-loss": 1},
             "544916a361185ecf", "11d2eff7a96f6430", "4f53cda18c2baa0c",
-            "aff5fe925bbfec81",
+            "2cdc61fee94864c7",
         ),
     }
 
@@ -333,6 +338,15 @@ class TestWindowFaultReplayPins:
     def _sha(value):
         import hashlib
         return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @staticmethod
+    def _window(windows):
+        if windows is None:
+            return None
+        return (windows.depth, windows.enqueued, windows.drains,
+                windows.fences, windows.deferred_errors,
+                windows.bulk_parcels, windows.dropped, windows.reordered,
+                windows.staged, windows.max_depth_seen)
 
     @classmethod
     def observe(cls, workload, cvms, recovery, seed):
@@ -343,8 +357,9 @@ class TestWindowFaultReplayPins:
         fired = [(f["site"], f["occurrence"], f["ts_ns"])
                  for f in result.faults["fired"]]
         records = [sorted(dict(r).items()) for r in result.records]
-        windows = (result.stats["write_behind"],
-                   result.stats["binder_ring"])
+        windows = [(lane.name, cls._window(lane.write_behind),
+                    cls._window(lane.binder_ring))
+                   for lane in result.world.anception.pool.lanes]
         return (result.status, result.error, result.elapsed_ns,
                 result.faults["fired_by_site"], cls._sha(fired),
                 cls._sha(records), cls._sha(result.recovery_log),

@@ -53,10 +53,10 @@ class TestCounter:
         ctx.libc.getpid()
         ctx.libc.stat(ctx.data_path("."))
         values = _values(registry, "syscalls_total")
-        assert values[("host", "anception")] == 2
+        assert values[("host", "host", "anception")] == 2
         # the host traps the stat, the CVM proxy's kernel runs it
-        assert values[("redirect", "anception")] == 1
-        assert values[("redirect", "native")] == 1
+        assert values[("host", "redirect", "anception")] == 1
+        assert values[("cvm", "redirect", "native")] == 1
 
     def test_snapshot_is_sorted_and_labelled(self, obs_world):
         world, ctx = obs_world
@@ -79,6 +79,44 @@ class TestCounter:
         assert registry.counters()["syscalls_total"] == []
         ctx.libc.getpid()
         assert _total(registry, "syscalls_total") == 1
+
+
+class TestLaneLabels:
+    def test_per_lane_counters_lead_with_the_lane(self):
+        for name, labels in COUNTERS.items():
+            if name in ("blocked_calls_total", "faults_injected_total",
+                        "recoveries_total"):
+                assert "lane" not in labels
+            else:
+                assert labels[0] == "lane"
+                assert "lane" not in labels[1:]
+
+    def test_host_and_guest_traps_are_separate_series(self):
+        # The read cache serves one of the 25 trapped redirects.
+        values = _values(run_traced("fileops", config=FAST).metrics,
+                         "syscalls_total")
+        assert values[("host", "redirect", "anception")] == 25
+        assert values[("cvm", "redirect", "native")] == 24
+        assert ("host", "redirect", "native") not in values
+        assert ("cvm", "redirect", "anception") not in values
+
+    @pytest.mark.parametrize("workload", sorted(TRACE_WORKLOADS))
+    def test_host_anception_traps_equal_the_layer_decisions(self,
+                                                            workload):
+        world = run_traced(workload, observe=False).world
+        trapped = sum(value for (name, labels), value
+                      in read_counts(world).items()
+                      if name == "syscalls_total"
+                      and labels[0] == "host" and labels[2] == "anception")
+        assert trapped == sum(world.anception.decisions.values())
+
+    def test_binder_transactions_split_by_kind(self):
+        result = run_traced("binderburst",
+                            config=CONFIGS["fast-4cvm"])
+        counters = result.metrics.counters()
+        kinds = {entry["labels"]["kind"]
+                 for entry in counters["binder_txns_total"]}
+        assert kinds <= {"ui", "delegated"} and kinds
 
 
 class TestHistogram:
@@ -104,7 +142,7 @@ class TestRegistry:
         with TraceBus.install(world.clock).capture() as capture:
             ctx.libc.getpid()
         assert _values(registry, "syscalls_total") == {
-            ("host", "anception"): 1,
+            ("host", "host", "anception"): 1,
         }
         histograms = registry.snapshot(capture.records)["histograms"]
         assert histograms["syscall_latency_us"]["count"] == 1
@@ -130,13 +168,13 @@ class TestRegistry:
         registry = MetricsRegistry(world)
         ctx.libc.write(fd, b"w" * 4096)
         assert _values(registry, "world_switches_total") == {
-            ("guest->host",): 1, ("host->guest",): 1,
+            ("cvm", "guest->host"): 1, ("cvm", "host->guest"): 1,
         }
-        assert _total(registry, "irqs_total") == 1
-        assert _values(registry, "channel_bytes_total")[("to-guest",)] \
-            >= 4096
-        assert _values(registry, "channel_chunks_total")[("to-guest",)] \
-            == 2
+        assert _values(registry, "irqs_total") == {("cvm",): 1}
+        assert _values(registry, "channel_bytes_total")[
+            ("cvm", "to-guest")] >= 4096
+        assert _values(registry, "channel_chunks_total")[
+            ("cvm", "to-guest")] == 2
 
     def test_blocked_event_counted_separately_from_proxy_spans(
             self, obs_world):
@@ -163,8 +201,8 @@ class TestRegistry:
         result = run_traced("write4k")
         metrics = result.metrics
         assert _total(metrics, "world_switches_total") >= 2
-        assert _values(metrics, "channel_bytes_total")[("to-guest",)] \
-            >= 4096
+        assert _values(metrics, "channel_bytes_total")[
+            ("cvm", "to-guest")] >= 4096
         assert _total(metrics, "syscalls_total") >= 3
         snapshot = metrics.snapshot(result.records)
         assert json.loads(json.dumps(snapshot)) == snapshot
@@ -240,8 +278,9 @@ class TestMonotone:
 
     def test_chaos_reboot_keeps_the_pre_reboot_traffic(self):
         result = run_chaos("fileops", seed=7)
-        assert result.stats["cvm_reboots"] == 1
         counters = result.metrics.counters()
+        assert counters["cvm_reboots_total"] == [
+            {"labels": {"lane": "cvm"}, "value": 1}]
         assert all(entry["value"] > 0
                    for entries in counters.values() for entry in entries)
         assert sum(e["value"] for e in counters["ring_submits_total"]) == 35
@@ -249,7 +288,8 @@ class TestMonotone:
                    for e in counters["channel_bytes_total"]) == 6595
         assert sum(e["value"] for e in counters["irqs_total"]) == 35
         # the live channel only saw the traffic after the reboot
-        assert result.stats["channel"]["submit_ring"]["pushed"] == 24
+        channel = result.world.anception.channel
+        assert channel.submit_ring.pushed == 24
 
     def test_faults_still_read_after_disarm(self):
         result = run_chaos("fileops", seed=7)

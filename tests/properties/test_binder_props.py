@@ -219,7 +219,7 @@ class TestBinderFaultDeterminism:
             "binderburst", "binder.reorder:nth=1", BINDER_RING
         )
         assert a == b
-        assert result.stats["binder_ring"]["reordered"] >= 1
+        assert result.world.anception.binder_ring.reordered >= 1
 
     def test_binder_reply_loss_recovers_and_replays(self):
         result, a, b = _chaos_replayed(

@@ -10,8 +10,6 @@ better than one-pair-per-call for vectors of 8+; (3) ring faults
 replay byte-identically across runs.
 """
 
-import json
-
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.chaos import chaos_report_json, run_chaos
@@ -134,5 +132,3 @@ class TestRingChaos:
         channel = result.world.anception.channel
         assert len(channel.submit_ring) == 0
         assert len(channel.complete_ring) == 0
-        report = json.loads(chaos_report_json(result))
-        assert report["stats"]["channel"]["submit_ring"]["queued"] == 0

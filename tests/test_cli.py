@@ -82,6 +82,16 @@ class TestCli:
         assert err.startswith("wall-clock: host_ms=")
         assert "sim/host=" in err
 
+    def test_trace_prints_one_counter_line_per_lane(self, capsys):
+        argv = ["trace", "fileops", "--cvms", "2", "--format", "ftrace"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] \
+            == ["host", "cvm", "cvm1", "layer"]
+        assert "syscalls[redirect,anception]=25" in lines[0].split()
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines()[1:] == lines
+
     def test_report_command_deterministic(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
         assert main(["trace", "write4k", "--out", str(trace_path)]) == 0
@@ -193,6 +203,26 @@ class TestSnapshotResume:
             main(["resume", path, "--verify"])
         assert str(excinfo.value.code).startswith(
             f"anception: error: snapshot meta {key} ")
+
+    @pytest.mark.parametrize("workload, error", [
+        ("fileops", "EEXIST (/data/data/com.obs.trace/chaos-dir)"),
+        ("fleet", "com.fleet.app000 already installed"),
+    ])
+    def test_run_once_workload_is_a_clean_error(self, tmp_path, workload,
+                                               error):
+        expected = (f"anception: error: workload {workload} cannot run "
+                    f"again on the same world: {error}")
+        twice = str(tmp_path / "twice.snap")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["snapshot", workload, "--warmup", "2", "--out", twice])
+        assert excinfo.value.code == expected
+        assert not (tmp_path / "twice.snap").exists()
+        once = str(tmp_path / "once.snap")
+        assert main(["snapshot", workload, "--warmup", "1",
+                     "--out", once]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["resume", once, "--verify"])
+        assert excinfo.value.code == expected
 
     @pytest.mark.parametrize("make", [NativeWorld, AnceptionWorld])
     def test_world_without_a_launched_app_is_a_clean_error(self, tmp_path,
