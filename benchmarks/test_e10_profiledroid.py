@@ -46,3 +46,30 @@ def test_average_matches_paper(profile):
 
 def test_ui_share_matches_paper(profile):
     assert profile["ui_share_overall"] == pytest.approx(81.35, abs=1.0)
+
+
+MEASURED = {
+    # app: (total_syscalls, ioctls, ui_ioctls), as recorded at the trap.
+    "maps": (621, 364, 288),
+    "browser": (541, 433, 359),
+    "social": (481, 366, 300),
+    "video": (501, 374, 299),
+    "mail": (451, 328, 266),
+    "music": (411, 326, 271),
+}
+"""Exact per-app counts: a profiler that drops or adds one recorded
+call moves at least one of them, which the paper tolerances above
+would not notice."""
+
+
+def test_per_app_counts_are_exact(profile):
+    assert {
+        app["app"]: (app["total_syscalls"], app["ioctls"], app["ui_ioctls"])
+        for app in profile["apps"]
+    } == MEASURED
+
+
+def test_aggregates_are_exact(profile):
+    assert (profile["ioctl_fraction_min"], profile["ioctl_fraction_max"],
+            profile["ioctl_fraction_avg"], profile["ui_share_overall"]) == (
+        58.6, 80.0, 73.6, 81.38)

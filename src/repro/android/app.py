@@ -160,10 +160,8 @@ class AppServiceEndpoint:
         self.name = f"app:{ctx.package}"
         self.ctx = ctx
         self.handler = handler
-        self.call_log = []
 
     def handle_transaction(self, method, payload, sender_task):
-        self.call_log.append((method, sender_task.pid))
         return self.handler(method, payload, sender_task)
 
     def __repr__(self):

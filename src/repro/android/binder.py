@@ -23,7 +23,7 @@ import errno
 
 from repro.errors import SyscallError
 from repro.obs.bus import maybe_span
-from repro.obs.ringlog import LOG_LIMIT, RingLog
+from repro.obs.ringlog import RingLog
 
 
 def encoded_size(value):
@@ -58,11 +58,6 @@ DELEGATED_BINDER_REQUESTS = frozenset({"BINDER_WRITE_READ"})
 """Request codes the redirection layer forwards into the CVM.  Each one
 must have marshal coverage and a differential script (or a documented
 exemption) — enforced by ``tests/core/test_syscall_conformance.py``."""
-
-TRANSACTION_LOG_LIMIT = LOG_LIMIT
-"""Default bound on ``BinderDriver.transaction_log``: long soak
-workloads push millions of transactions."""
-
 
 class Transaction:
     """One binder call: target service name, method code, payload."""
@@ -131,20 +126,16 @@ class BinderDriver:
 
     __snapshot__ = "auto"
 
-    def __init__(self, kernel, service_manager, ui_stack=None,
-                 log_limit=TRANSACTION_LOG_LIMIT):
+    def __init__(self, kernel, service_manager, ui_stack=None):
         self.kernel = kernel
         self.service_manager = service_manager
         self.ui_stack = ui_stack
-        self.transaction_log = RingLog(log_limit)
+        self.transaction_log = RingLog()
+        """Bounded (pid, target, method) record: long soak workloads
+        push millions of transactions."""
         self.transactions = {"ui": 0, "delegated": 0}
         """Transactions executed, by whether the target is a UI service."""
         self.oneway_errors = 0
-
-    @property
-    def transaction_log_dropped(self):
-        """Entries the bounded transaction log has discarded."""
-        return self.transaction_log.dropped
 
     def read(self, open_file, length):
         raise SyscallError(errno.EINVAL, "binder supports only ioctl")

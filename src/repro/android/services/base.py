@@ -49,7 +49,6 @@ class Service:
         # attacks need something to read/write).
         space = self.task.address_space
         space.set_brk(space.brk_page + self.HEAP_PAGES)
-        self.call_log = []
 
     def process_name(self):
         return f"service:{self.name}"
@@ -61,7 +60,6 @@ class Service:
             raise SyscallError(
                 errno.EINVAL, f"{self.name} has no method {method!r}"
             )
-        self.call_log.append((method, sender_task.pid))
         return handler(payload, sender_task)
 
     def shutdown(self):

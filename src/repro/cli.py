@@ -299,9 +299,13 @@ def _reruns(workload):
 
 
 def cmd_snapshot(args):
-    """Boot, warm up, and write a deterministic world snapshot blob."""
+    """Boot, warm up, and write a deterministic world snapshot blob.
+
+    The blob is written only if ``resume`` can run it: the workload is
+    first run once on an in-process restore of the blob."""
     from repro.core.snapshot import describe_snapshot
-    from repro.obs.runner import resolve_workload, warm_start
+    from repro.obs.runner import resolve_workload, run_traced, warm_start
+    from repro.world import _World
 
     try:
         workload, fn = resolve_workload(
@@ -315,9 +319,11 @@ def cmd_snapshot(args):
         for _ in range(warmup):
             fn(target)
     blob = world.snapshot(meta={"workload": workload, "warmup": warmup})
+    host_ms = (time.perf_counter_ns() - host_t0) / 1e6
+    with _reruns(workload):
+        run_traced(workload, observe=False, world=_World.restore(blob))
     out = getattr(args, "out", None) or "world.snap"
     _emit(blob, out)
-    host_ms = (time.perf_counter_ns() - host_t0) / 1e6
     info = describe_snapshot(blob)
     print(
         f"snapshot {out}: {len(blob)} bytes"

@@ -42,7 +42,6 @@ from repro.errors import (
     SimulationError,
     SyscallError,
 )
-from repro.kernel.loader import run_payload
 from repro.kernel.memory import MAP_ANONYMOUS, MAP_FIXED, page_count
 from repro.kernel.process import Credentials, ROOT_UID
 from repro.kernel.vfs import InodeKind
@@ -1772,15 +1771,3 @@ class AnceptionLayer:
                 f"UID changed after launch ({task.launch_uid} -> "
                 f"{task.credentials.uid})",
             )
-
-    # ------------------------------------------------------------------
-    # program helper
-    # ------------------------------------------------------------------
-
-    def spawn_program(self, task, path, argv=()):
-        """fork + execve + run: how enrolled apps launch helpers."""
-        child_pid = self.host_kernel.syscall(task, "fork")
-        child = self.host_kernel.pids.require(child_pid)
-        image = self.host_kernel.syscall(child, "execve", path, argv)
-        result = run_payload(self.host_kernel, child, image)
-        return child, result

@@ -22,11 +22,7 @@ from __future__ import annotations
 import enum
 import posixpath
 
-from repro.android.binder import (
-    BINDER_WRITE_READ,
-    IOC_WAIT_INPUT_EVT,
-    Transaction,
-)
+from repro.android.binder import Transaction, is_ui_transaction
 from repro.kernel.syscalls import SyscallClass, classify
 
 
@@ -134,11 +130,7 @@ class RedirectionPolicy:
 
     def ioctl_is_ui(self, request, arg):
         """True when an ioctl is UI/Input traffic that must stay on host."""
-        if request == IOC_WAIT_INPUT_EVT:
-            return True
-        if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-            return arg.target in self.ui_service_names
-        return False
+        return is_ui_transaction(self.ui_service_names, request, arg)
 
     def binder_target_is_app(self, arg):
         """App-to-app binder IPC proceeds on the host (Section III-D)."""

@@ -67,7 +67,7 @@ from repro.errors import SnapshotError
 
 
 SNAPSHOT_MAGIC = b"ANCSNAP1"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 """Blob layout version.  2: ring descriptors, pending calls and staged
 window entries carry wire *sizes* instead of wire bytes.  3: both async
 window kinds are one ``repro.core.windows.AsyncWindows`` class with one
@@ -79,7 +79,9 @@ records them.  6: components own their counters (kernel syscall and
 page-fault counts, per-lane ``retired`` totals), the layer's logs are
 bounded ``RingLog`` rings, and the clock drops its legacy charge
 recorder.  7: the trace bus only records, so it drops its listener
-list and sink-failure counts.  Older blobs are refused."""
+list and sink-failure counts.  8: services and app endpoints drop
+their call logs and kernels their syscall log.  Older blobs are
+refused."""
 _HEADER = struct.Struct("<8sHHQ32s")
 _PICKLE_PROTOCOL = 4
 """Pinned pickle protocol: the blob format is versioned, so the

@@ -165,8 +165,6 @@ class Kernel:
         host and the guest kernel of an Anception device do)."""
         self.input_device = None
         self.log_device = None
-        self.syscall_log = []
-        self.syscall_log_enabled = False
         self.syscall_counts = {"anception": defaultdict(int),
                                "native": defaultdict(int)}
         """disposition -> call -> traps taken; disposition is
@@ -316,8 +314,6 @@ class Kernel:
                 self.policy_monitor.inspect(self, task, name, args)
             if self.interposition is not None:
                 self.clock.advance(self.costs.asim_check_ns, "asim-check")
-            if self.syscall_log_enabled:
-                self.syscall_log.append((task.pid, name, disposition, args))
             if span is not NULL_SPAN:
                 span.set(disposition=disposition)
             if redirected:
@@ -659,10 +655,6 @@ class Kernel:
         if close is not None:
             close()
         return 0
-
-    def _resolve_readable(self, task, fd):
-        desc = task.get_fd(fd)
-        return desc
 
     def _do_read(self, task, fd, length):
         desc = task.get_fd(fd)

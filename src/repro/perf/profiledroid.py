@@ -6,55 +6,55 @@ After performing an additional custom profiling of only ioctl calls, we
 found that 81.35% of such calls are UI-related and thus will run at
 native speed."
 
-The profiler enables the kernel's syscall log, runs each popular-app
-workload, and computes the fractions from the recorded call stream — the
-profiles in :data:`repro.workloads.apps.POPULAR_APP_PROFILES` are the
-workload inputs; what is *reported* is measured.
+The profiler records each trap through the kernel's syscall-inspection
+hook (``Kernel.policy_monitor``), runs each popular-app workload, and
+computes the fractions from the recorded call stream — the profiles in
+:data:`repro.workloads.apps.POPULAR_APP_PROFILES` are the workload
+inputs; what is *reported* is measured.
 """
 
 from __future__ import annotations
 
-from repro.android.binder import BINDER_WRITE_READ, IOC_WAIT_INPUT_EVT, Transaction
+from repro.android.binder import is_ui_transaction
 from repro.workloads.apps import popular_apps
 from repro.world import NativeWorld
 
 
-def _is_ui_ioctl(ui_names, args):
-    if len(args) < 2:
-        return False
-    _fd, request = args[0], args[1]
-    arg = args[2] if len(args) > 2 else None
-    if request == IOC_WAIT_INPUT_EVT:
-        return True
-    if request == BINDER_WRITE_READ and isinstance(arg, Transaction):
-        return arg.target in ui_names
-    return False
+class _TrapRecorder:
+    """Stands in for the policy monitor: keeps one pid's (name, args)."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.calls = []
+
+    def inspect(self, kernel, task, name, args):
+        if task.pid == self.pid:
+            self.calls.append((name, args))
 
 
 def profile_app(world, app):
-    """Run one app with syscall logging; return its call-mix stats."""
+    """Run one app under a trap recorder; return its call-mix stats."""
     kernel = world.kernel
     running = world.install_and_launch(app)
-    pid = running.pid
-    kernel.syscall_log = []
-    kernel.syscall_log_enabled = True
+    recorder = _TrapRecorder(running.pid)
+    previous, kernel.policy_monitor = kernel.policy_monitor, recorder
     try:
         running.run()
     finally:
-        kernel.syscall_log_enabled = False
-    entries = [e for e in kernel.syscall_log if e[0] == pid]
-    total = len(entries)
+        kernel.policy_monitor = previous
+    total = len(recorder.calls)
     ui_names = world.system.ui_service_names()
-    ioctls = [e for e in entries if e[1] == "ioctl"]
-    ui_ioctls = [e for e in ioctls if _is_ui_ioctl(ui_names, e[3])]
+    ioctls = [args for name, args in recorder.calls if name == "ioctl"]
+    ui_ioctls = sum(is_ui_transaction(ui_names, request, arg)
+                    for _fd, request, arg in ioctls)
     return {
         "app": getattr(app, "app_name", app.package),
         "total_syscalls": total,
         "ioctls": len(ioctls),
-        "ui_ioctls": len(ui_ioctls),
+        "ui_ioctls": ui_ioctls,
         "ioctl_fraction": round(100.0 * len(ioctls) / total, 1),
         "ui_share_of_ioctls": round(
-            100.0 * len(ui_ioctls) / len(ioctls), 2
+            100.0 * ui_ioctls / len(ioctls), 2
         ) if ioctls else 0.0,
     }
 

@@ -106,11 +106,6 @@ class TestServiceBehaviour:
         vold = world.system.service("vold")
         assert vold.task.address_space.resident_pages() >= Service.HEAP_PAGES
 
-    def test_call_log_records(self, world):
-        sensor = world.system.service("sensor")
-        sensor.handle_transaction("list_sensors", {}, sensor.task)
-        assert sensor.call_log[-1][0] == "list_sensors"
-
     def test_window_manager_headless_refuses_ui(self):
         """UI methods on a headless instance fail cleanly."""
         from repro.errors import SyscallError

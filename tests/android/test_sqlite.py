@@ -134,11 +134,12 @@ class TestCosts:
         kernel = libc.kernel
         db.begin()
         db.insert("t", b"warm")  # first insert may load a page
-        kernel.syscall_log = []
-        kernel.syscall_log_enabled = True
-        try:
-            for _ in range(50):
-                db.insert("t", b"row")
-        finally:
-            kernel.syscall_log_enabled = False
-        assert kernel.syscall_log == []
+
+        def traps():
+            return sum(sum(calls.values())
+                       for calls in kernel.syscall_counts.values())
+
+        before = traps()
+        for _ in range(50):
+            db.insert("t", b"row")
+        assert traps() == before

@@ -14,18 +14,14 @@ import errno
 import pytest
 
 from repro.android.app import App, AppManifest
-from repro.android.binder import (
-    TRANSACTION_LOG_LIMIT,
-    BinderDriver,
-    Transaction,
-)
+from repro.android.binder import BinderDriver, Transaction
 from repro.core.config import DelegationConfig
 from repro.core.windows import WINDOW_DEPTH
 from repro.core.marshal import encoded_size
 from repro.errors import SyscallError
 from repro.faults.engine import FaultEngine
 from repro.faults.plan import FaultPlan
-from repro.obs.ringlog import RingLog
+from repro.obs.ringlog import LOG_LIMIT, RingLog
 from repro.world import AnceptionWorld
 
 BINDER_RING = DelegationConfig(binder_ring=True)
@@ -286,8 +282,8 @@ class TestTransactionLogBounds:
 
     def test_driver_default_limit(self, ring_world):
         driver = ring_world.anception.cvm.android.binder_driver
-        assert driver.transaction_log.limit == TRANSACTION_LOG_LIMIT
-        assert driver.transaction_log_dropped == 0
+        assert driver.transaction_log.limit == LOG_LIMIT
+        assert driver.transaction_log.dropped == 0
 
     def test_long_soak_stays_bounded(self, ring_world, ring_ctx):
         driver = ring_world.anception.cvm.android.binder_driver
@@ -295,7 +291,7 @@ class TestTransactionLogBounds:
         for _ in range(20):
             ring_ctx.call_service("location", "get_fix", {})
         assert len(driver.transaction_log) == 8
-        assert driver.transaction_log_dropped == 12
+        assert driver.transaction_log.dropped == 12
 
     def test_payload_size_is_marshal_sized(self):
         payload = {"blob": "x" * 112}

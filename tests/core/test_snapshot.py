@@ -132,18 +132,23 @@ class TestRejection:
         # and sink-failure counts; the v7 bus only records.
         self._refused(anception_world, 6)
 
+    def test_v7_per_call_record_blob_is_refused(self, anception_world):
+        # v7 blobs pickled every service's unbounded call log and the
+        # kernel's syscall log; v8 services and kernels keep neither.
+        self._refused(anception_world, 7)
+
     @staticmethod
     def _refused(world, version):
         import struct
 
-        assert SNAPSHOT_VERSION == 7
+        assert SNAPSHOT_VERSION == 8
         blob = bytearray(world.snapshot())
         struct.pack_into("<H", blob, 8, version)
         for reader in (describe_snapshot, restore_world):
             with pytest.raises(SnapshotError,
                                match=f"unsupported snapshot version "
                                      f"{version} "
-                                     r"\(this build reads 7\)"):
+                                     r"\(this build reads 8\)"):
                 reader(bytes(blob))
 
     def test_truncated_payload(self, anception_world):

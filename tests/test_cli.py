@@ -212,17 +212,17 @@ class TestSnapshotResume:
                                                error):
         expected = (f"anception: error: workload {workload} cannot run "
                     f"again on the same world: {error}")
-        twice = str(tmp_path / "twice.snap")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["snapshot", workload, "--warmup", "2", "--out", twice])
-        assert excinfo.value.code == expected
-        assert not (tmp_path / "twice.snap").exists()
-        once = str(tmp_path / "once.snap")
-        assert main(["snapshot", workload, "--warmup", "1",
-                     "--out", once]) == 0
-        with pytest.raises(SystemExit) as excinfo:
-            main(["resume", once, "--verify"])
-        assert excinfo.value.code == expected
+        for warmup in ("2", "1"):
+            path = str(tmp_path / f"warm{warmup}.snap")
+            with pytest.raises(SystemExit) as excinfo:
+                main(["snapshot", workload, "--warmup", warmup,
+                      "--out", path])
+            assert excinfo.value.code == expected
+            assert not (tmp_path / f"warm{warmup}.snap").exists()
+        cold = str(tmp_path / "cold.snap")
+        assert main(["snapshot", workload, "--warmup", "0",
+                     "--out", cold]) == 0
+        assert main(["resume", cold, "--verify"]) == 0
 
     @pytest.mark.parametrize("make", [NativeWorld, AnceptionWorld])
     def test_world_without_a_launched_app_is_a_clean_error(self, tmp_path,
